@@ -42,9 +42,7 @@ from .sequences import (
     SeqDescriptor,
     farey,
     farey_boolean,
-    iter_boolean,
-    iter_farey,
-    iter_upper,
+    iter_terms,
     left_half,
     materialize,
     right_half,
@@ -67,9 +65,7 @@ __all__ = [
     "left_half",
     "right_half",
     "materialize",
-    "iter_farey",
-    "iter_upper",
-    "iter_boolean",
+    "iter_terms",
     "next_in_farey",
     "prev_in_farey",
     "succ_in_boolean",

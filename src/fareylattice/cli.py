@@ -2,14 +2,16 @@
 
 Exit status: 0 on success, 1 when a verify sweep finds a failure, 2 for
 usage errors (bad arguments, fractions outside the requested sequence).
+A reader that closes the output pipe early, as `| head` does, ends the
+command quietly with status 0.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from itertools import dropwhile, takewhile
 from math import comb
 from typing import Iterable, Iterator
 
@@ -23,7 +25,7 @@ from .catalog import (
     verify_catalog,
     verify_map,
 )
-from .fracs import HALF, Frac
+from .fracs import Frac
 from .neighbors import (
     next_in_farey,
     pred_in_boolean,
@@ -31,16 +33,14 @@ from .neighbors import (
     succ_in_boolean,
 )
 from .sequences import (
+    LEFT_HALF,
+    RIGHT_HALF,
     FareySeq,
+    SeqDescriptor,
     farey,
     farey_boolean,
-    iter_boolean,
-    iter_farey,
-    iter_upper,
-    left_half,
+    iter_terms,
     materialize,
-    right_half,
-    upper_subsequence,
 )
 
 
@@ -61,34 +61,6 @@ def _stream(fractions: Iterable[Frac], out) -> None:
         print(f, file=out)
 
 
-def _gen_plain_terms(args) -> Iterator[Frac]:
-    if args.family == "farey":
-        return iter_farey(args.n)
-    if args.family == "upper":
-        return iter_upper(args.n, args.m)
-    terms = iter_boolean(args.n, args.m)
-    if args.half is None:
-        return terms
-    if args.n != 2 * args.m:
-        raise ValueError("--half requires n = 2m")
-    if args.half == "left":
-        return takewhile(lambda f: f <= HALF, terms)
-    return dropwhile(lambda f: f < HALF, terms)
-
-
-def _gen_materialized(args) -> FareySeq:
-    if args.family == "farey":
-        return farey(args.n)
-    if args.family == "upper":
-        return upper_subsequence(args.n, args.m)
-    seq = farey_boolean(args.n, args.m)
-    if args.half == "left":
-        return left_half(seq)
-    if args.half == "right":
-        return right_half(seq)
-    return seq
-
-
 def _cmd_gen(args, out) -> int:
     if args.family in ("upper", "boolean") and args.m is None:
         raise ValueError(f"--m is required for family {args.family}")
@@ -96,10 +68,12 @@ def _cmd_gen(args, out) -> int:
         raise ValueError("--m does not apply to the farey family")
     if args.half is not None and args.family != "boolean":
         raise ValueError("--half applies only to the boolean family")
+    family = {None: args.family, "left": LEFT_HALF, "right": RIGHT_HALF}[args.half]
+    d = SeqDescriptor(family, args.n, args.m)
     if args.format == "plain":
-        _stream(_gen_plain_terms(args), out)
+        _stream(iter_terms(d), out)
     else:
-        print(emit_json(_gen_materialized(args)), file=out)
+        print(emit_json(materialize(d)), file=out)
     return 0
 
 
@@ -113,7 +87,7 @@ def _cmd_map(args, out) -> int:
         )
     d = entries[args.name]
     f = Frac.parse(args.frac)
-    if f not in materialize(d.domain):
+    if f not in d.domain:
         raise ValueError(f"{f} is not a term of the domain {d.domain}")
     print(d.matrix.apply(f), file=out)
     return 0
@@ -302,7 +276,16 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args, sys.stdout)
+        rc = args.func(args, sys.stdout)
+        sys.stdout.flush()
+        return rc
+    except BrokenPipeError:
+        # The reader stopped early, as `| head` does.  Point stdout at devnull
+        # so that the flush at interpreter exit cannot meet the closed pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,9 +5,11 @@ Everything here is plain integer arithmetic; nothing is ever rounded.
 
 from __future__ import annotations
 
+from functools import total_ordering
 from math import gcd
 
 
+@total_ordering
 class Frac:
     """An irreducible fraction h/k with 0 <= h <= k and k >= 1.
 
@@ -31,23 +33,17 @@ class Frac:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Frac is immutable")
 
-    # comparisons by cross multiplication; Python ints never overflow
+    # comparisons by cross multiplication; Python ints never overflow.
+    # total_ordering derives <=, > and >= from these two.
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Frac):
             return NotImplemented
         return self.h == other.h and self.k == other.k
 
-    def __lt__(self, other: "Frac") -> bool:
+    def __lt__(self, other: object) -> bool:
+        if not isinstance(other, Frac):
+            return NotImplemented
         return self.h * other.k < other.h * self.k
-
-    def __le__(self, other: "Frac") -> bool:
-        return self.h * other.k <= other.h * self.k
-
-    def __gt__(self, other: "Frac") -> bool:
-        return self.h * other.k > other.h * self.k
-
-    def __ge__(self, other: "Frac") -> bool:
-        return self.h * other.k >= other.h * self.k
 
     def __hash__(self) -> int:
         return hash((self.h, self.k))

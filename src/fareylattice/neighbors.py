@@ -13,6 +13,7 @@ predecessor with successor.
 from __future__ import annotations
 
 from .fracs import HALF, ONE, ZERO, Frac
+from .sequences import BOOLEAN, FAREY, SeqDescriptor
 
 
 def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
@@ -53,16 +54,15 @@ def solve_congruence_in_range(
     return lo + (residue_sign * inv - lo) % modulus
 
 
-def _require_in_farey(f: Frac, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    if f.k > m:
-        raise ValueError(f"{f} is not a term of the order-{m} Farey sequence")
+def _require_term(f: Frac, family: str, m: int) -> None:
+    d = SeqDescriptor(FAREY, m) if family == FAREY else SeqDescriptor(BOOLEAN, 2 * m, m)
+    if f not in d:
+        raise ValueError(f"{f} is not a term of {d}")
 
 
 def next_in_farey(f: Frac, m: int) -> Frac:
     """Immediate successor of f in the Farey sequence of order m."""
-    _require_in_farey(f, m)
+    _require_term(f, FAREY, m)
     if f == ONE:
         raise ValueError("1/1 has no successor")
     x0 = solve_congruence_in_range(f.h, f.k, -1, m - f.k + 1, m)
@@ -71,18 +71,11 @@ def next_in_farey(f: Frac, m: int) -> Frac:
 
 def prev_in_farey(f: Frac, m: int) -> Frac:
     """Immediate predecessor of f in the Farey sequence of order m."""
-    _require_in_farey(f, m)
+    _require_term(f, FAREY, m)
     if f == ZERO:
         raise ValueError("0/1 has no predecessor")
     x0 = solve_congruence_in_range(f.h, f.k, 1, m - f.k + 1, m)
     return Frac((f.h * x0 - 1) // f.k, x0)
-
-
-def _require_in_boolean(f: Frac, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"parameter must be positive, got {m}")
-    if f.h > m or f.k - f.h > m:
-        raise ValueError(f"{f} is not a term of the symmetric subsequence for m={m}")
 
 
 def _complement(f: Frac) -> Frac:
@@ -114,7 +107,7 @@ _BOOLEAN_M1 = (ZERO, HALF, ONE)
 
 def succ_in_boolean(f: Frac, m: int) -> Frac:
     """Immediate successor of f in F(B(2m), m)."""
-    _require_in_boolean(f, m)
+    _require_term(f, BOOLEAN, m)
     if f == ONE:
         raise ValueError("1/1 has no successor")
     if m == 1:
@@ -127,7 +120,7 @@ def succ_in_boolean(f: Frac, m: int) -> Frac:
 
 def pred_in_boolean(f: Frac, m: int) -> Frac:
     """Immediate predecessor of f in F(B(2m), m)."""
-    _require_in_boolean(f, m)
+    _require_term(f, BOOLEAN, m)
     if f == ZERO:
         raise ValueError("0/1 has no predecessor")
     if m == 1:

@@ -1,19 +1,22 @@
-"""Construction of Farey sequences and their rank-filtered subsequences.
+"""Construction of Farey sequences and their Boolean-lattice subsequences.
 
-Families:
+Each family is defined once, in _FAMILIES, as the reduced h/k in a stretch
+of [0/1, 1/1] that meet linear bounds (u, v, w), each meaning u*h + v*k <= w:
 
-  farey        F_n, every reduced h/k with 0 <= h <= k <= n
-  upper        terms of F_n with numerator at most m
-  boolean      terms of F_n with h <= m and k-h <= n-m; these are exactly
-               the reduced values |B & A| / |B| over nonempty subsets B of
-               an n-set with a marked m-subset A
-  left-half    terms of the symmetric boolean sequence (n = 2m) up to 1/2
-  right-half   its terms from 1/2 on
+  farey        (0,1,n)               k <= n, the Farey sequence F_n
+  upper        (0,1,n), (1,0,m)      k <= n and h <= m
+  boolean      (1,0,m), (-1,1,n-m)   h <= m and k-h <= n-m: the reduced values
+               |B & A| / |B| over nonempty subsets B of an n-set with a
+               marked m-subset A
+  left-half    the boolean bounds with n = 2m, from 0/1 to 1/2
+  right-half   the boolean bounds with n = 2m, from 1/2 to 1/1
 
-One generator is trusted: F_n is produced by repeated application of the
-modular-inverse successor step, and every other family is a filter of it.
-Sequences are materialized as immutable tuples; the iterator forms exist
-so the CLI can stream large orders without holding them.
+Generation and membership both read that table.  iter_terms streams the
+terms by the bounded next-term recurrence (Graham, Knuth and Patashnik,
+Concrete Mathematics, section 4.5): after consecutive terms a/b < c/d comes
+(t*c - a)/(t*d - b), for the largest t that keeps it inside every bound.
+`f in descriptor` tests the bounds directly.  materialize holds a sequence
+as an immutable tuple.
 """
 
 from __future__ import annotations
@@ -22,8 +25,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from .fracs import HALF, ONE, ZERO, Frac
-from .neighbors import next_in_farey
+from .fracs import Frac
 
 FAREY = "farey"
 UPPER = "upper"
@@ -31,7 +33,26 @@ BOOLEAN = "boolean"
 LEFT_HALF = "left-half"
 RIGHT_HALF = "right-half"
 
-_FAMILIES = (FAREY, UPPER, BOOLEAN, LEFT_HALF, RIGHT_HALF)
+
+def _boolean_bounds(n: int, m: int) -> tuple[tuple[int, int, int], ...]:
+    return ((1, 0, m), (-1, 1, n - m))
+
+
+# A stretch of [0/1, 1/1] is the pair that starts generation (a virtual
+# term h0/k0 with h1*k0 - h0*k1 = 1, then the first term h1/k1) and the
+# last term.
+_WHOLE = ((-1, 0), (0, 1), (1, 1))
+_UP_TO_HALF = ((-1, 0), (0, 1), (1, 2))
+_FROM_HALF = ((0, 1), (1, 2), (1, 1))
+
+# family -> (its bounds (u, v, w) as a function of (n, m), its stretch)
+_FAMILIES = {
+    FAREY: (lambda n, m: ((0, 1, n),), _WHOLE),
+    UPPER: (lambda n, m: ((0, 1, n), (1, 0, m)), _WHOLE),
+    BOOLEAN: (_boolean_bounds, _WHOLE),
+    LEFT_HALF: (_boolean_bounds, _UP_TO_HALF),
+    RIGHT_HALF: (_boolean_bounds, _FROM_HALF),
+}
 
 # Materializing F_n costs ~0.3*n^2 terms of memory; refuse runaway orders.
 MAX_ORDER = 10_000
@@ -67,6 +88,25 @@ class SeqDescriptor:
     def is_symmetric_boolean(self) -> bool:
         """True for the boolean family with n = 2m, the case that splits in half."""
         return self.family == BOOLEAN and self.n == 2 * self.m
+
+    @property
+    def bounds(self) -> tuple[tuple[int, int, int], ...]:
+        """The family's bounds (u, v, w), each meaning u*h + v*k <= w."""
+        return _FAMILIES[self.family][0](self.n, self.m)
+
+    def __contains__(self, f: object) -> bool:
+        """True when f is a term of the sequence: inside its stretch and bounds."""
+        if not isinstance(f, Frac):
+            return False
+        bounds, (_, (h0, k0), (h1, k1)) = _FAMILIES[self.family]
+        h, k = f.h, f.k
+        if h0 * k > h * k0 or h * k1 > h1 * k:
+            return False
+        # a plain loop: neighbor stepping runs this test on every call
+        for u, v, w in bounds(self.n, self.m):
+            if u * h + v * k > w:
+                return False
+        return True
 
     def __str__(self) -> str:
         if self.family == FAREY:
@@ -123,82 +163,58 @@ class FareySeq:
         return f"FareySeq({self.descriptor}, {len(self.terms)} terms)"
 
 
-def _check_order(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    if n > MAX_ORDER:
-        raise ValueError(f"order {n} exceeds the materialization guard {MAX_ORDER}")
+def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:
+    """Terms of the sequence d names, ascending, generated from its bounds.
 
-
-def iter_farey(n: int) -> Iterator[Frac]:
-    """Terms of F_n in ascending order, by successor stepping from 0/1."""
-    if n < 1:
-        raise ValueError(f"order must be positive, got {n}")
-    f = ZERO
-    yield f
-    while f != ONE:
-        f = next_in_farey(f, n)
-        yield f
-
-
-def iter_upper(n: int, m: int) -> Iterator[Frac]:
-    """Terms of F_n with numerator at most m."""
-    SeqDescriptor(UPPER, n, m)  # validate parameters
-    return (f for f in iter_farey(n) if f.h <= m)
-
-
-def iter_boolean(n: int, m: int) -> Iterator[Frac]:
-    """Terms of F_n with h <= m and k - h <= n - m."""
-    SeqDescriptor(BOOLEAN, n, m)
-    return (f for f in iter_farey(n) if f.h <= m and f.k - f.h <= n - m)
-
-
-def farey(n: int) -> FareySeq:
-    """The Farey sequence of order n."""
-    _check_order(n)
-    return FareySeq(SeqDescriptor(FAREY, n), tuple(iter_farey(n)))
-
-
-def upper_subsequence(n: int, m: int) -> FareySeq:
-    """The subsequence of F_n whose numerators stay at or below m."""
-    _check_order(n)
-    return FareySeq(SeqDescriptor(UPPER, n, m), tuple(iter_upper(n, m)))
-
-
-def farey_boolean(n: int, m: int) -> FareySeq:
-    """The Boolean-lattice subsequence: h <= m and k - h <= n - m in F_n."""
-    _check_order(n)
-    return FareySeq(SeqDescriptor(BOOLEAN, n, m), tuple(iter_boolean(n, m)))
-
-
-def _require_symmetric(s: FareySeq, what: str) -> None:
-    if not s.descriptor.is_symmetric_boolean:
-        raise ValueError(f"{what} is defined only for boolean sequences with n = 2m, "
-                         f"got {s.descriptor}")
-
-
-def left_half(s: FareySeq) -> FareySeq:
-    """Terms of a symmetric boolean sequence up to and including 1/2."""
-    _require_symmetric(s, "left_half")
-    d = SeqDescriptor(LEFT_HALF, s.descriptor.n, s.descriptor.m)
-    return FareySeq(d, tuple(f for f in s if f <= HALF))
-
-
-def right_half(s: FareySeq) -> FareySeq:
-    """Terms of a symmetric boolean sequence from 1/2 on."""
-    _require_symmetric(s, "right_half")
-    d = SeqDescriptor(RIGHT_HALF, s.descriptor.n, s.descriptor.m)
-    return FareySeq(d, tuple(f for f in s if f >= HALF))
+    From consecutive terms h0/k0 < h1/k1 the next is (t*h1 - h0)/(t*k1 - k0)
+    for the largest t that keeps it inside every bound: the minimum of
+    (w + u*h0 + v*k0) // (u*h1 + v*k1) over the bounds with u*h1 + v*k1 > 0.
+    The other bounds only loosen as t grows.
+    """
+    bounds = d.bounds
+    (h0, k0), (h1, k1), last = _FAMILIES[d.family][1]
+    yield Frac(h1, k1)
+    while (h1, k1) != last:
+        t = min((w + u * h0 + v * k0) // (u * h1 + v * k1)
+                for u, v, w in bounds if u * h1 + v * k1 > 0)
+        h0, k0, h1, k1 = h1, k1, t * h1 - h0, t * k1 - k0
+        yield Frac(h1, k1)
 
 
 def materialize(d: SeqDescriptor) -> FareySeq:
     """Build the sequence a descriptor names."""
-    if d.family == FAREY:
-        return farey(d.n)
-    if d.family == UPPER:
-        return upper_subsequence(d.n, d.m)
-    if d.family == BOOLEAN:
-        return farey_boolean(d.n, d.m)
-    if d.family == LEFT_HALF:
-        return left_half(farey_boolean(d.n, d.m))
-    return right_half(farey_boolean(d.n, d.m))
+    if d.n > MAX_ORDER:
+        raise ValueError(f"order {d.n} exceeds the materialization guard {MAX_ORDER}")
+    return FareySeq(d, tuple(iter_terms(d)))
+
+
+def farey(n: int) -> FareySeq:
+    """The Farey sequence of order n."""
+    return materialize(SeqDescriptor(FAREY, n))
+
+
+def upper_subsequence(n: int, m: int) -> FareySeq:
+    """The subsequence of F_n whose numerators stay at or below m."""
+    return materialize(SeqDescriptor(UPPER, n, m))
+
+
+def farey_boolean(n: int, m: int) -> FareySeq:
+    """The Boolean-lattice subsequence: h <= m and k - h <= n - m in F_n."""
+    return materialize(SeqDescriptor(BOOLEAN, n, m))
+
+
+def _half(s: FareySeq, family: str) -> FareySeq:
+    if not s.descriptor.is_symmetric_boolean:
+        raise ValueError(f"{family} is defined only for boolean sequences with n = 2m, "
+                         f"got {s.descriptor}")
+    return materialize(SeqDescriptor(family, s.descriptor.n, s.descriptor.m))
+
+
+def left_half(s: FareySeq) -> FareySeq:
+    """Terms of a symmetric boolean sequence up to and including 1/2."""
+    return _half(s, LEFT_HALF)
+
+
+def right_half(s: FareySeq) -> FareySeq:
+    """Terms of a symmetric boolean sequence from 1/2 on."""
+    return _half(s, RIGHT_HALF)

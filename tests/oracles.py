@@ -6,21 +6,27 @@ membership, so agreement with the package is meaningful evidence.
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 
-def brute_farey(n: int) -> list[tuple[int, int]]:
-    """All reduced (h, k) with 0 <= h <= k <= n, ascending."""
+@lru_cache(maxsize=None)
+def _farey_pairs(n: int) -> tuple[tuple[int, int], ...]:
     vals = sorted({Fraction(h, k) for k in range(1, n + 1) for h in range(k + 1)})
-    return [(f.numerator, f.denominator) for f in vals]
+    return tuple((f.numerator, f.denominator) for f in vals)
+
+
+def brute_farey(n: int) -> list[tuple[int, int]]:
+    """All reduced (h, k) with 0 <= h <= k <= n, ascending; sorted once per n."""
+    return list(_farey_pairs(n))
 
 
 def brute_upper(n: int, m: int) -> list[tuple[int, int]]:
-    return [(h, k) for h, k in brute_farey(n) if h <= m]
+    return [(h, k) for h, k in _farey_pairs(n) if h <= m]
 
 
 def brute_boolean(n: int, m: int) -> list[tuple[int, int]]:
-    return [(h, k) for h, k in brute_farey(n) if h <= m and k - h <= n - m]
+    return [(h, k) for h, k in _farey_pairs(n) if h <= m and k - h <= n - m]
 
 
 def brute_subset_fractions(n: int, m: int) -> list[tuple[int, int]]:

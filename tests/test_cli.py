@@ -1,11 +1,16 @@
+import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from fareylattice.catalog import MATRICES, SYM_COMPLEMENT
 from fareylattice.cli import emit_json, main
 from fareylattice.fracs import Frac
-from fareylattice.sequences import farey, farey_boolean, left_half
+from fareylattice.sequences import MAX_ORDER, farey, farey_boolean, left_half
 
 
 def run(capsys, *argv):
@@ -159,6 +164,13 @@ class TestMap:
                          "--n", "12", "--m", "6", "--frac", "2/3")
         assert rc == 2 and "domain" in err
 
+    def test_domain_above_materialization_guard(self, capsys):
+        # membership is tested on the bounds, so no sequence is materialized
+        m = MAX_ORDER + 1
+        rc, out, err = run(capsys, "map", "--name", "right-to-farey",
+                           "--n", str(2 * m), "--m", str(m), "--frac", f"{m}/{m + 1}")
+        assert rc == 0 and out.strip() == f"1/{m}" and err == ""
+
 
 class TestVerify:
     def test_bijections_suite_passes(self, capsys):
@@ -210,3 +222,45 @@ class TestUsage:
         rc, _, err = run(capsys, "neighbor", "--family", "farey", "--m", "6",
                          "--frac", "x/y", "--dir", "next")
         assert rc == 2 and "h/k" in err
+
+
+class ClosedPipe(io.TextIOBase):
+    """A stdout on descriptor fd whose reader has gone away."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def fileno(self):
+        return self.fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestBrokenPipe:
+    def test_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
+        with open(tmp_path / "stdout", "w") as target:
+            monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))
+            rc = main(["gen", "--family", "farey", "--n", "50"])
+            # the rest of the output goes to devnull
+            assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
+        assert rc == 0
+        assert capsys.readouterr().err == ""
+
+    def test_head_closing_the_pipe(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "fareylattice.cli", "gen", "--family", "farey",
+             "--n", "3000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline() == b"0/1\n"
+        proc.stdout.close()
+        try:
+            rc = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert rc == 0
+        assert proc.stderr.read() == b""
+        proc.stderr.close()

@@ -1,3 +1,4 @@
+import operator
 from fractions import Fraction
 
 import pytest
@@ -69,6 +70,14 @@ class TestFracOrdering:
 
     def test_hash_consistent_with_eq(self):
         assert hash(Frac(2, 4)) == hash(Frac(1, 2))
+
+    @pytest.mark.parametrize("other", [0.5, None, "1/2"])
+    def test_ordering_against_other_types_is_type_error(self, other):
+        f = Frac(1, 2)
+        for compare in (operator.lt, operator.le, operator.gt, operator.ge):
+            with pytest.raises(TypeError):
+                compare(f, other)
+        assert f != other
 
 
 class TestParseRender:

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 
 from fareylattice.fracs import HALF, Frac, UnimodularMap
@@ -6,11 +8,13 @@ from fareylattice.sequences import (
     FAREY,
     LEFT_HALF,
     MAX_ORDER,
+    RIGHT_HALF,
+    UPPER,
     FareySeq,
     SeqDescriptor,
     farey,
     farey_boolean,
-    iter_farey,
+    iter_terms,
     left_half,
     materialize,
     right_half,
@@ -52,7 +56,7 @@ class TestFarey:
             farey(MAX_ORDER + 1)
 
     def test_iterator_streams_same_terms(self):
-        assert list(iter_farey(9)) == list(farey(9))
+        assert list(iter_terms(SeqDescriptor(FAREY, 9))) == list(farey(9))
 
 
 class TestUpper:
@@ -124,6 +128,49 @@ class TestHalves:
             left_half(farey_boolean(12, 5))
         with pytest.raises(ValueError, match="n = 2m"):
             right_half(farey(6))
+
+
+def descriptors(n):
+    """Every sequence of order n: F_n, and each family for each 0 < m < n."""
+    yield SeqDescriptor(FAREY, n)
+    for m in range(1, n):
+        yield SeqDescriptor(UPPER, n, m)
+        yield SeqDescriptor(BOOLEAN, n, m)
+        if n == 2 * m:
+            yield SeqDescriptor(LEFT_HALF, n, m)
+            yield SeqDescriptor(RIGHT_HALF, n, m)
+
+
+class TestOneDefinition:
+    """Generation and membership both come from the bounds table; check
+    each against the brute-force oracles, which never read it."""
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_every_family_matches_oracles(self, n):
+        assert as_pairs(farey(n)) == brute_farey(n)
+        for m in range(1, n):
+            assert as_pairs(upper_subsequence(n, m)) == brute_upper(n, m)
+            boolean = brute_boolean(n, m)
+            seq = farey_boolean(n, m)
+            assert as_pairs(seq) == boolean
+            if n == 2 * m:
+                assert as_pairs(left_half(seq)) == [(h, k) for h, k in boolean if 2 * h <= k]
+                assert as_pairs(right_half(seq)) == [(h, k) for h, k in boolean if 2 * h >= k]
+
+    @pytest.mark.parametrize("n", range(1, 31))
+    def test_membership_matches_materialized(self, n):
+        candidates = [Frac(h, k) for k in range(1, n + 2) for h in range(k + 1)
+                      if gcd(h, k) == 1]
+        for d in descriptors(n):
+            terms = materialize(d)
+            assert [f for f in candidates if f in d] == [f for f in candidates if f in terms]
+
+    def test_membership_rejects_non_fractions(self):
+        assert "1/2" not in SeqDescriptor(FAREY, 4)
+
+    def test_streaming_needs_no_materialization_guard(self):
+        terms = iter_terms(SeqDescriptor(FAREY, MAX_ORDER + 1))
+        assert [next(terms), next(terms)] == [Frac(0, 1), Frac(1, MAX_ORDER + 1)]
 
 
 class TestIndexing:
