@@ -1,6 +1,10 @@
 """Moebius function, interval totients, cardinality closed forms, and the
 binomial-sum identities carried by the interior fractions of the sequences.
 
+Every identity's left side is one pair sum over a stretch of a sequence,
+sum_f sum_s C(M, s*a) * C(M', s*b), where a and b are linear forms in the
+terms h/k (h, k, k-h, k-2h or 2h-k); _pair_sum computes all of them.
+
 Every value here is an exact Python int; the sums grow like 2^(2m), so no
 floating point is allowed anywhere in this module.
 """
@@ -10,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd
+from operator import mul
 
 from .fracs import HALF, Frac
 from .sequences import FareySeq, farey, farey_boolean
@@ -58,11 +63,16 @@ def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
     return total
 
 
-def farey_size(m: int) -> int:
-    """|F_m| = 1 + (1/2) sum_d mu(d) * floor(m/d) * (floor(m/d) + 1)."""
+def _mobius_size_sum(m: int) -> int:
+    """sum_d mu(d) * floor(m/d) * (floor(m/d) + 1), shared by both sizes."""
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
-    total = sum(mobius(d) * (m // d) * (m // d + 1) for d in range(1, m + 1))
+    return sum(mobius(d) * (m // d) * (m // d + 1) for d in range(1, m + 1))
+
+
+def farey_size(m: int) -> int:
+    """|F_m| = 1 + (1/2) sum_d mu(d) * floor(m/d) * (floor(m/d) + 1)."""
+    total = _mobius_size_sum(m)
     # the weighted sum is always even; fail loudly rather than truncate
     half, rem = divmod(total, 2)
     if rem:
@@ -74,11 +84,10 @@ def farey_boolean_size(m: int) -> int:
     """|F(B(2m), m)| = 1 + sum_d mu(d) * floor(m/d) * (floor(m/d) + 1).
 
     The closed form is twice the F_m one minus one; it also holds at m = 1,
-    where direct counting of (0/1, 1/2, 1/1) gives 3.
+    where direct counting of (0/1, 1/2, 1/1) gives 3.  It is not computed
+    from farey_size, so verify's size relation stays a real check.
     """
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    return 1 + sum(mobius(d) * (m // d) * (m // d + 1) for d in range(1, m + 1))
+    return 1 + _mobius_size_sum(m)
 
 
 @dataclass
@@ -113,23 +122,46 @@ def _interior(seq: FareySeq) -> list[Frac]:
     return [f for f in seq if 0 < f.h < f.k]
 
 
-def _block_sum(seq_m: int, other_m: int, fractions: list[Frac]) -> int:
-    """sum over f and over 1 <= s <= min(seq_m/h, other_m/(k-h)) of
-    C(seq_m, s*h) * C(other_m, s*(k-h))."""
+# linear forms u*h + v*k in the terms h/k, written (u, v)
+_H, _K, _K_H, _K_2H, _2H_K = (1, 0), (0, 1), (-1, 1), (-2, 1), (2, -1)
+
+
+def _pair_sum(fractions: list[Frac], m1: int, m2: int,
+              forms: list[tuple[tuple[int, int], tuple[int, int]]]) -> int:
+    """sum over f = h/k, over (a, b) in forms and over s >= 1 of
+    C(m1, s*a(h, k)) * C(m2, s*b(h, k)), s running until either is zero.
+
+    Every form must be positive on every fraction given.
+    """
+    row1 = [comb(m1, i) for i in range(m1 + 1)]
+    row2 = [comb(m2, i) for i in range(m2 + 1)]
     total = 0
     for f in fractions:
-        h, d = f.h, f.k - f.h
-        for s in range(1, min(seq_m // h, other_m // d) + 1):
-            total += comb(seq_m, s * h) * comb(other_m, s * d)
+        for (u1, v1), (u2, v2) in forms:
+            a, b = u1 * f.h + v1 * f.k, u2 * f.h + v2 * f.k
+            if a < 1 or b < 1:
+                raise ValueError(f"form value {a} or {b} is not positive at {f}")
+            # row[a::a] holds C(m, s*a) for s = 1, 2, ... while s*a <= m
+            total += sum(map(mul, row1[a::a], row2[b::b]))
     return total
+
+
+def _halves_and_cross(m: int) -> tuple[int, int]:
+    """(2^(2m-1) - 2^m - C(2m,m)/2 + 1, sum_t C(m,2t)*C(m,t)): the halves
+    value and what the thirds and paired forms subtract from it."""
+    central, rem = divmod(comb(2 * m, m), 2)
+    if rem:
+        raise ArithmeticError(f"odd central binomial for m={m}")
+    cross = sum(comb(m, 2 * t) * comb(m, t) for t in range(1, m // 2 + 1))
+    return 2 ** (2 * m - 1) - 2 ** m + 1 - central, cross
 
 
 def interior_duality(n: int, m: int) -> IdentityReport:
     """The interior double sums of the (n, m) and (n, n-m) subsequences
     both collapse to 2^n - 2^m - 2^(n-m) + 1."""
     lhs = [
-        _block_sum(m, n - m, _interior(farey_boolean(n, m))),
-        _block_sum(n - m, m, _interior(farey_boolean(n, n - m))),
+        _pair_sum(_interior(farey_boolean(n, m)), m, n - m, [(_H, _K_H)]),
+        _pair_sum(_interior(farey_boolean(n, n - m)), n - m, m, [(_H, _K_H)]),
     ]
     return IdentityReport("interior-duality", {"n": n, "m": m}, lhs,
                           2 ** n - 2 ** m - 2 ** (n - m) + 1)
@@ -138,32 +170,10 @@ def interior_duality(n: int, m: int) -> IdentityReport:
 def filter_partition(n: int, m: int) -> IdentityReport:
     """2^n - 2^(n-m) subsets meet the marked m-block; removing the 2^m - 1
     subsets inside the block leaves the interior double sum."""
-    interior = _block_sum(m, n - m, _interior(farey_boolean(n, m)))
+    interior = _pair_sum(_interior(farey_boolean(n, m)), m, n - m, [(_H, _K_H)])
     return IdentityReport("filter-partition", {"n": n, "m": m},
                           [2 ** n - 2 ** (n - m)],
                           2 ** m - 1 + interior)
-
-
-def _split_sum(m: int, fractions: list[Frac], left_form: bool, third_term: bool) -> int:
-    """Band sums for the symmetric sequence.
-
-    Left of 1/2 the inner range is s <= m/(k-h) with summand
-    C(m, s*(k-h)) * (C(m, s*h) [+ C(m, s*(k-2h))]); right of 1/2 the roles
-    of h and k-h swap and the optional term uses 2h-k.
-    """
-    total = 0
-    for f in fractions:
-        h, k = f.h, f.k
-        if left_form:
-            outer, inner, extra = k - h, h, k - 2 * h
-        else:
-            outer, inner, extra = h, k - h, 2 * h - k
-        for s in range(1, m // outer + 1):
-            term = comb(m, s * inner)
-            if third_term:
-                term += comb(m, s * extra)
-            total += comb(m, s * outer) * term
-    return total
 
 
 def symmetric_identities(m: int) -> list[IdentityReport]:
@@ -175,40 +185,31 @@ def symmetric_identities(m: int) -> list[IdentityReport]:
     sym-thirds:   the four sums over (0,1/3), (1/3,1/2), (1/2,2/3), (2/3,1)
                   agree and equal the halves value minus
                   sum_t C(m,2t)*C(m,t).
+
+    Left of 1/2 the summand is C(m, s*(k-h)) * (C(m, s*h) [+ C(m, s*(k-2h))]);
+    right of 1/2 the roles of h and k-h swap and the thirds term uses 2h-k.
     """
     if m <= 1:
         raise ValueError(f"identities need m > 1, got {m}")
-    seq = farey_boolean(2 * m, m)
-    interior = _interior(seq)
+    interior = _interior(farey_boolean(2 * m, m))
+    halves_rhs, cross = _halves_and_cross(m)
     third, two_thirds = Frac(1, 3), Frac(2, 3)
-
-    central, rem = divmod(comb(2 * m, m), 2)
-    if rem:
-        raise ArithmeticError(f"odd central binomial for m={m}")
-    halves_rhs = 2 ** (2 * m - 1) - 2 ** m + 1 - central
-    cross = sum(comb(m, 2 * t) * comb(m, t) for t in range(1, m // 2 + 1))
-
     below = [f for f in interior if f < HALF]
     above = [f for f in interior if f > HALF]
-    bands = [
-        [f for f in below if f < third],
-        [f for f in below if third < f],
-        [f for f in above if f < two_thirds],
-        [f for f in above if two_thirds < f],
-    ]
+    left, right = [(_K_H, _H)], [(_H, _K_H)]
+    left3, right3 = left + [(_K_H, _K_2H)], right + [(_H, _2H_K)]
     return [
         IdentityReport("sym-interior", {"m": m},
-                       [_block_sum(m, m, interior)],
+                       [_pair_sum(interior, m, m, [(_H, _K_H)])],
                        2 ** (2 * m) - 2 ** (m + 1) + 1),
         IdentityReport("sym-halves", {"m": m},
-                       [_split_sum(m, below, True, False),
-                        _split_sum(m, above, False, False)],
+                       [_pair_sum(below, m, m, left), _pair_sum(above, m, m, right)],
                        halves_rhs),
         IdentityReport("sym-thirds", {"m": m},
-                       [_split_sum(m, bands[0], True, True),
-                        _split_sum(m, bands[1], True, True),
-                        _split_sum(m, bands[2], False, True),
-                        _split_sum(m, bands[3], False, True)],
+                       [_pair_sum([f for f in below if f < third], m, m, left3),
+                        _pair_sum([f for f in below if third < f], m, m, left3),
+                        _pair_sum([f for f in above if f < two_thirds], m, m, right3),
+                        _pair_sum([f for f in above if two_thirds < f], m, m, right3)],
                        halves_rhs - cross),
     ]
 
@@ -225,26 +226,13 @@ def farey_identities(m: int) -> list[IdentityReport]:
     if m <= 1:
         raise ValueError(f"identities need m > 1, got {m}")
     interior = _interior(farey(m))
-    central, rem = divmod(comb(2 * m, m), 2)
-    if rem:
-        raise ArithmeticError(f"odd central binomial for m={m}")
-    interior_rhs = 2 ** (2 * m - 1) - 2 ** m + 1 - central
-    cross = sum(comb(m, 2 * t) * comb(m, t) for t in range(1, m // 2 + 1))
-
-    plain = 0
-    split = [0, 0]
-    for f in interior:
-        h, k = f.h, f.k
-        plain_f = paired_f = 0
-        for s in range(1, m // k + 1):
-            plain_f += comb(m, s * h) * comb(m, s * k)
-            paired_f += comb(m, s * k) * (comb(m, s * h) + comb(m, s * (k - h)))
-        plain += plain_f
-        if f < HALF:
-            split[0] += paired_f
-        elif f > HALF:
-            split[1] += paired_f
+    interior_rhs, cross = _halves_and_cross(m)
+    paired = [(_K, _H), (_K, _K_H)]
     return [
-        IdentityReport("farey-interior", {"m": m}, [plain], interior_rhs),
-        IdentityReport("farey-halves", {"m": m}, split, interior_rhs - cross),
+        IdentityReport("farey-interior", {"m": m},
+                       [_pair_sum(interior, m, m, [(_H, _K)])], interior_rhs),
+        IdentityReport("farey-halves", {"m": m},
+                       [_pair_sum([f for f in interior if f < HALF], m, m, paired),
+                        _pair_sum([f for f in interior if f > HALF], m, m, paired)],
+                       interior_rhs - cross),
     ]

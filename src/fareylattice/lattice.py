@@ -5,12 +5,17 @@ the low m bits.  Scanning all 2^n words realizes the defining construction
 of the boolean sequence family (reduced |B & A| / |B| over nonempty B) and
 the rank-slice counts behind the binomial identities, with no number
 theory involved, so these scans validate the closed-form modules.
+
+Each (n, m) is scanned once, into a histogram of (|B & A|, |B|) cells
+that the enumeration, the rank-slice counts and the filter cardinality all
+read.  The cells are counted word by word, never taken from binomials:
+C(m, j) * C(n-m, l-j) is the identity the scan is there to check.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from functools import lru_cache
-from math import gcd
 
 from .fracs import Frac
 from .identities import IdentityReport
@@ -26,6 +31,17 @@ def _check_bounds(n: int, m: int, bound: int = ENUM_BOUND) -> None:
         raise ValueError(f"n={n} exceeds the enumeration bound {bound}")
 
 
+@lru_cache(maxsize=64)
+def _intersection_histogram(n: int, m: int) -> dict[tuple[int, int], int]:
+    """counts[(j, l)] = number of subsets with |B| = l and |B & A| = j.
+
+    The module's only scan of the 2^n words.  Every public function reads
+    its (j, l) cells, and the cache lets them share one scan per (n, m).
+    """
+    amask = (1 << m) - 1
+    return Counter(((bits & amask).bit_count(), bits.bit_count()) for bits in range(1 << n))
+
+
 def enumerate_fractions(n: int, m: int) -> FareySeq:
     """All reduced values |B & A| / |B| over nonempty subsets B, ascending.
 
@@ -34,26 +50,8 @@ def enumerate_fractions(n: int, m: int) -> FareySeq:
     scan never consults it.
     """
     _check_bounds(n, m)
-    amask = (1 << m) - 1
-    seen: set[tuple[int, int]] = set()
-    for bits in range(1, 1 << n):
-        j = (bits & amask).bit_count()
-        l = bits.bit_count()
-        g = gcd(j, l)
-        seen.add((j // g, l // g))
-    terms = tuple(sorted(Frac(h, k) for h, k in seen))
+    terms = tuple(sorted({Frac(j, l) for j, l in _intersection_histogram(n, m) if l}))
     return FareySeq(SeqDescriptor(BOOLEAN, n, m), terms)
-
-
-@lru_cache(maxsize=64)
-def _intersection_histogram(n: int, m: int) -> dict[tuple[int, int], int]:
-    """counts[(j, l)] = number of subsets with |B| = l and |B & A| = j."""
-    amask = (1 << m) - 1
-    counts: dict[tuple[int, int], int] = {}
-    for bits in range(1 << n):
-        key = ((bits & amask).bit_count(), bits.bit_count())
-        counts[key] = counts.get(key, 0) + 1
-    return counts
 
 
 def count_exact_intersection(n: int, m: int, j: int, l: int) -> int:
@@ -77,13 +75,9 @@ def filter_cardinality_check(n: int, m: int) -> IdentityReport:
     ones, so it matches the RHS exactly when the block count is right.
     """
     _check_bounds(n, m, bound=20)
-    amask = (1 << m) - 1
-    meeting = inside = 0
-    for bits in range(1, 1 << n):
-        if bits & amask:
-            meeting += 1
-            if (bits | amask) == amask:
-                inside += 1
+    cells = _intersection_histogram(n, m).items()
+    meeting = sum(c for (j, l), c in cells if j)
+    inside = sum(c for (j, l), c in cells if j == l >= 1)
     mixed_closed = 2 ** n - 2 ** m - 2 ** (n - m) + 1
     return IdentityReport(
         "filter-cardinality",

@@ -12,21 +12,10 @@ predecessor with successor.
 
 from __future__ import annotations
 
+from math import gcd
+
 from .fracs import HALF, ONE, ZERO, Frac
 from .sequences import BOOLEAN, FAREY, SeqDescriptor
-
-
-def _ext_gcd(a: int, b: int) -> tuple[int, int, int]:
-    """Extended Euclid: returns (g, s, t) with a*s + b*t = g = gcd(a, b)."""
-    r0, r1 = a, b
-    s0, s1 = 1, 0
-    t0, t1 = 0, 1
-    while r1 != 0:
-        q = r0 // r1
-        r0, r1 = r1, r0 - q * r1
-        s0, s1 = s1, s0 - q * s1
-        t0, t1 = t1, t0 - q * t1
-    return r0, s0, t0
 
 
 def solve_congruence_in_range(
@@ -47,9 +36,10 @@ def solve_congruence_in_range(
         )
     if modulus == 1:
         return lo
-    g, inv, _ = _ext_gcd(h % modulus, modulus)
+    g = gcd(h, modulus)
     if g != 1:
         raise ValueError(f"no solution: gcd({h}, {modulus}) = {g} > 1")
+    inv = pow(h % modulus, -1, modulus)
     # h*inv = 1 (mod modulus), so the residue class is residue_sign*inv
     return lo + (residue_sign * inv - lo) % modulus
 

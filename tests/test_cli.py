@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -195,6 +196,14 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "--suite", "identities",
                          "--max-n", "8", "--max-m", "6")
         assert rc == 0 and out.splitlines()[-1].startswith("PASS")
+
+    def test_all_suites_listing_is_pinned(self, capsys):
+        # every check label, in order, of the default-scale full sweep
+        rc, out, err = run(capsys, "verify", "--suite", "all")
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == "PASS 796/796"
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "e35f3d30e91866604ed97fd1b15aa7b13d2b8fdd2904bec542b8fe906482753a"
 
     def test_corrupted_matrix_fails_sweep(self, capsys, monkeypatch):
         # an identity matrix is unimodular but not order-reversing

@@ -2,6 +2,7 @@ from math import comb
 
 import pytest
 
+from fareylattice import lattice
 from fareylattice.lattice import (
     count_exact_intersection,
     enumerate_fractions,
@@ -84,3 +85,22 @@ class TestFilterCardinality:
     def test_bound(self):
         with pytest.raises(ValueError, match="bound"):
             filter_cardinality_check(21, 5)
+
+
+class TestOneScan:
+    def test_each_pair_is_scanned_once(self, monkeypatch):
+        scanned = []
+
+        def counting_range(*args):
+            words = range(*args)
+            scanned.append(len(words))
+            return words
+
+        monkeypatch.setattr(lattice, "range", counting_range, raising=False)
+        lattice._intersection_histogram.cache_clear()
+        enumerate_fractions(10, 4)
+        filter_cardinality_check(10, 4)
+        for l in range(11):
+            for j in range(l + 1):
+                count_exact_intersection(10, 4, j, l)
+        assert sum(scanned) == 2 ** 10
