@@ -42,6 +42,7 @@ from .sequences import (
     SeqDescriptor,
     farey,
     farey_boolean,
+    iter_pairs,
     iter_terms,
     left_half,
     materialize,
@@ -65,6 +66,7 @@ __all__ = [
     "left_half",
     "right_half",
     "materialize",
+    "iter_pairs",
     "iter_terms",
     "next_in_farey",
     "prev_in_farey",

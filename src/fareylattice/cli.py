@@ -4,6 +4,11 @@ Exit status: 0 on success, 1 when a verify sweep finds a failure, 2 for
 usage errors (bad arguments, fractions outside the requested sequence).
 A reader that closes the output pipe early, as `| head` does, ends the
 command quietly with status 0.
+
+`gen` formats its text straight from sequences.iter_pairs' int pairs and
+writes it in batches of GEN_BATCH terms, one write per batch, in both
+formats; neither format holds the sequence, so neither is bound by the
+materialization guard.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ import argparse
 import json
 import os
 import sys
+from itertools import islice
 from math import comb
-from typing import Iterable, Iterator
+from typing import Iterator
 
 from . import identities as ident
 from . import lattice
@@ -39,8 +45,7 @@ from .sequences import (
     SeqDescriptor,
     farey,
     farey_boolean,
-    iter_terms,
-    materialize,
+    iter_pairs,
 )
 
 
@@ -56,9 +61,31 @@ def emit_json(seq: FareySeq) -> str:
     return json.dumps(obj, separators=(",", ":"))
 
 
-def _stream(fractions: Iterable[Frac], out) -> None:
-    for f in fractions:
-        print(f, file=out)
+# terms per out.write in gen
+GEN_BATCH = 4096
+
+
+def _write_plain(d: SeqDescriptor, out) -> None:
+    pairs = iter_pairs(d)
+    while text := "".join([f"{h}/{k}\n" for h, k in islice(pairs, GEN_BATCH)]):
+        out.write(text)
+
+
+def _write_json(d: SeqDescriptor, out) -> None:
+    """emit_json(materialize(d)) and a newline, streamed: the header, then
+    the terms in batches, each term checked to follow its predecessor."""
+    head = json.dumps({"family": d.family, "n": d.n, "m": d.m}, separators=(",", ":"))
+    out.write(head[:-1] + ',"terms":[')
+    pairs = iter_pairs(d)
+    h0, k0 = next(pairs)
+    out.write(f"[{h0},{k0}]")
+    while batch := list(islice(pairs, GEN_BATCH)):
+        for h, k in batch:
+            if h0 * k >= h * k0:
+                raise ValueError(f"terms not strictly ascending: {h0}/{k0} !< {h}/{k}")
+            h0, k0 = h, k
+        out.write("".join([f",[{h},{k}]" for h, k in batch]))
+    out.write("]}\n")
 
 
 def _cmd_gen(args, out) -> int:
@@ -71,9 +98,9 @@ def _cmd_gen(args, out) -> int:
     family = {None: args.family, "left": LEFT_HALF, "right": RIGHT_HALF}[args.half]
     d = SeqDescriptor(family, args.n, args.m)
     if args.format == "plain":
-        _stream(iter_terms(d), out)
+        _write_plain(d, out)
     else:
-        print(emit_json(materialize(d)), file=out)
+        _write_json(d, out)
     return 0
 
 

@@ -30,6 +30,18 @@ class Frac:
         object.__setattr__(self, "h", h // g)
         object.__setattr__(self, "k", k // g)
 
+    @staticmethod
+    def _coprime(h: int, k: int) -> "Frac":
+        """h/k from a pair already known coprime with 0 <= h <= k and k >= 1.
+
+        Skips the constructor's checks and gcd; callers vouch for the pair,
+        as the next-term recurrence and a unimodular image do.
+        """
+        f = _new_frac(Frac)
+        _set_h(f, h)
+        _set_k(f, k)
+        return f
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Frac is immutable")
 
@@ -66,6 +78,11 @@ class Frac:
             raise ValueError(f"expected 'h/k' with integer parts, got {text!r}") from None
         return cls(h, k)
 
+
+# For Frac._coprime: the slot setters skip Frac.__setattr__, which forbids
+# mutation, and cost less per call than object.__setattr__.
+_new_frac = object.__new__
+_set_h, _set_k = Frac.h.__set__, Frac.k.__set__
 
 ZERO = Frac(0, 1)
 HALF = Frac(1, 2)
@@ -110,7 +127,7 @@ class UnimodularMap:
             raise ArithmeticError(
                 f"image {num}/{den} of {f} under {self} is not reduced"
             )
-        return Frac(num, den)
+        return Frac._coprime(num, den)
 
     def inverse(self) -> "UnimodularMap":
         """Exact integer inverse; defined because |det| = 1."""

@@ -20,7 +20,7 @@ from .fracs import HALF, Frac
 from .sequences import FareySeq, farey, farey_boolean
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def mobius(d: int) -> int:
     """Moebius mu(d) by trial division: 0 on a squared prime factor,
     else (-1)^(number of prime factors)."""
@@ -40,13 +40,64 @@ def mobius(d: int) -> int:
     return sign
 
 
+def _mobius_sieve(m: int) -> list[int]:
+    """[mu(0), mu(1), ..., mu(m)] for m >= 1 by a linear sieve (mu(0) is
+    listed as 0).
+
+    Every composite c is crossed out once, from its least prime factor p
+    as c = i * p; mu(c) is 0 when p also divides i, else -mu(i).
+    """
+    mu = [0] * (m + 1)
+    mu[1] = 1
+    composite = bytearray(m + 1)
+    primes: list[int] = []
+    for i in range(2, m + 1):
+        if not composite[i]:
+            primes.append(i)
+            mu[i] = -1
+        for p in primes:
+            c = i * p
+            if c > m:
+                break
+            composite[c] = 1
+            if i % p == 0:
+                break
+            mu[c] = -mu[i]
+    return mu
+
+
+# phi_interval tabulates residues only for h up to this, so the cached tables
+# hold at most 128 * 1025 counts; for larger h it counts gcds directly.
+_PREFIX_MAX_H = 1024
+
+
+@lru_cache(maxsize=128)
+def _coprime_prefix(h: int) -> tuple[int, ...]:
+    """P[r] = how many j in [1, r] are coprime to h, for 0 <= r <= h, by gcd."""
+    prefix = [0]
+    for j in range(1, h + 1):
+        prefix.append(prefix[-1] + (gcd(h, j) == 1))
+    return tuple(prefix)
+
+
 def phi_interval(h: int, i: int, l: int) -> int:
-    """How many j in [i, l] are coprime to h; empty intervals count 0."""
+    """How many j in [i, l] are coprime to h; empty intervals count 0.
+
+    gcd(h, j) depends only on j mod h, so the count up to x is
+    (x // h) * P[h] + P[x % h] from h's prefix table P.
+    """
     if h < 1:
         raise ValueError(f"phi_interval needs h >= 1, got {h}")
     if i < 1:
         raise ValueError(f"interval must start at a positive integer, got {i}")
-    return sum(1 for j in range(i, l + 1) if gcd(h, j) == 1)
+    if l < i:
+        return 0
+    if h > _PREFIX_MAX_H:
+        return sum(1 for j in range(i, l + 1) if gcd(h, j) == 1)
+    prefix = _coprime_prefix(h)
+    hi_q, hi_r = divmod(l, h)
+    lo_q, lo_r = divmod(i - 1, h)
+    return (hi_q - lo_q) * prefix[h] + prefix[hi_r] - prefix[lo_r]
 
 
 def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
@@ -67,7 +118,8 @@ def _mobius_size_sum(m: int) -> int:
     """sum_d mu(d) * floor(m/d) * (floor(m/d) + 1), shared by both sizes."""
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
-    return sum(mobius(d) * (m // d) * (m // d + 1) for d in range(1, m + 1))
+    mu = _mobius_sieve(m)
+    return sum(mu[d] * (m // d) * (m // d + 1) for d in range(1, m + 1) if mu[d])
 
 
 def farey_size(m: int) -> int:

@@ -11,12 +11,14 @@ of [0/1, 1/1] that meet linear bounds (u, v, w), each meaning u*h + v*k <= w:
   left-half    the boolean bounds with n = 2m, from 0/1 to 1/2
   right-half   the boolean bounds with n = 2m, from 1/2 to 1/1
 
-Generation and membership both read that table.  iter_terms streams the
-terms by the bounded next-term recurrence (Graham, Knuth and Patashnik,
-Concrete Mathematics, section 4.5): after consecutive terms a/b < c/d comes
-(t*c - a)/(t*d - b), for the largest t that keeps it inside every bound.
-`f in descriptor` tests the bounds directly.  materialize holds a sequence
-as an immutable tuple.
+Generation and membership both read that table.  iter_pairs streams the
+terms as (h, k) int pairs by the bounded next-term recurrence (Graham, Knuth
+and Patashnik, Concrete Mathematics, section 4.5): after consecutive terms
+a/b < c/d comes (t*c - a)/(t*d - b), for the largest t that keeps it inside
+every bound.  Consecutive pairs satisfy c*b - a*d = 1, so every pair is
+already reduced; iter_terms wraps them as Frac without a gcd, and the CLI
+formats them straight from the ints.  `f in descriptor` tests the bounds
+directly.  materialize holds a sequence as an immutable tuple.
 """
 
 from __future__ import annotations
@@ -163,22 +165,34 @@ class FareySeq:
         return f"FareySeq({self.descriptor}, {len(self.terms)} terms)"
 
 
-def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:
-    """Terms of the sequence d names, ascending, generated from its bounds.
+def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
+    """Terms of the sequence d names, ascending, as coprime (h, k) int pairs.
 
     From consecutive terms h0/k0 < h1/k1 the next is (t*h1 - h0)/(t*k1 - k0)
     for the largest t that keeps it inside every bound: the minimum of
     (w + u*h0 + v*k0) // (u*h1 + v*k1) over the bounds with u*h1 + v*k1 > 0.
-    The other bounds only loosen as t grows.
+    The other bounds only loosen as t grows.  Each step keeps
+    h1*k0 - h0*k1 = 1, so every pair is coprime without a gcd.
     """
     bounds = d.bounds
-    (h0, k0), (h1, k1), last = _FAMILIES[d.family][1]
-    yield Frac(h1, k1)
-    while (h1, k1) != last:
-        t = min((w + u * h0 + v * k0) // (u * h1 + v * k1)
-                for u, v, w in bounds if u * h1 + v * k1 > 0)
+    (h0, k0), (h1, k1), (h_last, k_last) = _FAMILIES[d.family][1]
+    yield h1, k1
+    while h1 != h_last or k1 != k_last:
+        t = 0  # no candidate yet; every candidate is at least 1
+        for u, v, w in bounds:
+            s = u * h1 + v * k1
+            if s > 0:
+                q = (w + u * h0 + v * k0) // s
+                if not t or q < t:
+                    t = q
         h0, k0, h1, k1 = h1, k1, t * h1 - h0, t * k1 - k0
-        yield Frac(h1, k1)
+        yield h1, k1
+
+
+def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:
+    """Terms of the sequence d names, ascending, as Frac: iter_pairs' pairs."""
+    coprime = Frac._coprime
+    return (coprime(h, k) for h, k in iter_pairs(d))
 
 
 def materialize(d: SeqDescriptor) -> FareySeq:

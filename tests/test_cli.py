@@ -8,10 +8,24 @@ from pathlib import Path
 
 import pytest
 
+from fareylattice import cli
 from fareylattice.catalog import MATRICES, SYM_COMPLEMENT
 from fareylattice.cli import emit_json, main
 from fareylattice.fracs import Frac
-from fareylattice.sequences import MAX_ORDER, farey, farey_boolean, left_half
+from fareylattice.sequences import (
+    BOOLEAN,
+    FAREY,
+    LEFT_HALF,
+    MAX_ORDER,
+    RIGHT_HALF,
+    UPPER,
+    SeqDescriptor,
+    farey,
+    farey_boolean,
+    left_half,
+    materialize,
+)
+from oracles import brute_boolean, brute_farey, brute_upper
 
 
 def run(capsys, *argv):
@@ -95,6 +109,56 @@ class TestJson:
                         "--format", "json")
         terms = json.loads(out)["terms"]
         assert terms == [[f.h, f.k] for f in farey(9)]
+
+
+def every_gen_call(n):
+    """(argv, descriptor, oracle pairs) for every sequence of order n:
+    F_n, upper and boolean for each 0 < m < n, and both halves at n = 2m."""
+    yield ["--family", "farey", "--n", str(n)], SeqDescriptor(FAREY, n), brute_farey(n)
+    for m in range(1, n):
+        base = ["--n", str(n), "--m", str(m)]
+        yield ["--family", "upper", *base], SeqDescriptor(UPPER, n, m), brute_upper(n, m)
+        boolean = brute_boolean(n, m)
+        yield ["--family", "boolean", *base], SeqDescriptor(BOOLEAN, n, m), boolean
+        if n == 2 * m:
+            yield (["--family", "boolean", *base, "--half", "left"],
+                   SeqDescriptor(LEFT_HALF, n, m), [(h, k) for h, k in boolean if 2 * h <= k])
+            yield (["--family", "boolean", *base, "--half", "right"],
+                   SeqDescriptor(RIGHT_HALF, n, m), [(h, k) for h, k in boolean if 2 * h >= k])
+
+
+class TestGenEveryFamily:
+    """The batched writers against oracles that share none of their code."""
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_plain_matches_oracles(self, capsys, n):
+        for argv, _, pairs in every_gen_call(n):
+            rc, out, err = run(capsys, "gen", *argv)
+            assert rc == 0 and err == ""
+            assert out.splitlines() == [f"{h}/{k}" for h, k in pairs], argv
+            assert out.endswith("\n")
+
+    @pytest.mark.parametrize("n", range(1, 41))
+    def test_json_matches_emit_json(self, capsys, n):
+        for argv, d, _ in every_gen_call(n):
+            rc, out, err = run(capsys, "gen", *argv, "--format", "json")
+            assert rc == 0 and err == ""
+            assert out == emit_json(materialize(d)) + "\n", argv
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_output_spanning_batches(self, capsys, fmt):
+        seq = farey(200)  # 12,233 terms: two batches and most of a third
+        assert 2 * cli.GEN_BATCH < len(seq) < 3 * cli.GEN_BATCH
+        rc, out, _ = run(capsys, "gen", "--family", "farey", "--n", "200", "--format", fmt)
+        assert rc == 0
+        want = emit_json(seq) if fmt == "json" else "\n".join(str(f) for f in seq)
+        assert out == want + "\n"
+
+    def test_json_rejects_terms_out_of_order(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "iter_pairs", lambda d: iter([(0, 1), (1, 2), (1, 3), (1, 1)]))
+        rc, out, err = run(capsys, "gen", "--family", "farey", "--n", "3", "--format", "json")
+        assert rc == 2 and "not strictly ascending: 1/2 !< 1/3" in err
+        assert '"terms":[[0,1]' in out
 
 
 class TestNeighbor:
@@ -246,7 +310,31 @@ class ClosedPipe(io.TextIOBase):
         raise BrokenPipeError(32, "Broken pipe")
 
 
+class PipeClosingAfterFirstWrite(ClosedPipe):
+    """A stdout whose reader takes the first write and then goes away."""
+
+    def __init__(self, fd):
+        super().__init__(fd)
+        self.received = []
+
+    def write(self, text):
+        if self.received:
+            raise BrokenPipeError(32, "Broken pipe")
+        self.received.append(text)
+        return len(text)
+
+
 class TestBrokenPipe:
+    def test_json_streams_above_materialization_guard(self, capsys, monkeypatch, tmp_path):
+        n = MAX_ORDER + 1
+        with open(tmp_path / "stdout", "w") as target:
+            stdout = PipeClosingAfterFirstWrite(target.fileno())
+            monkeypatch.setattr(sys, "stdout", stdout)
+            rc = main(["gen", "--family", "farey", "--n", str(n), "--format", "json"])
+        assert rc == 0
+        assert stdout.received == [f'{{"family":"farey","n":{n},"m":null,"terms":[']
+        assert capsys.readouterr().err == ""
+
     def test_closed_stdout_exits_quietly(self, capsys, monkeypatch, tmp_path):
         with open(tmp_path / "stdout", "w") as target:
             monkeypatch.setattr(sys, "stdout", ClosedPipe(target.fileno()))

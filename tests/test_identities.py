@@ -1,8 +1,13 @@
+from itertools import accumulate
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fareylattice.identities import (
+    _PREFIX_MAX_H,
+    _mobius_sieve,
     farey_boolean_size,
     farey_identities,
     farey_size,
@@ -34,6 +39,18 @@ class TestMobius:
     def test_matches_factorization_oracle(self, d):
         assert mobius(d) == brute_mobius(d)
 
+    def test_sieve_matches_trial_division(self):
+        mu = _mobius_sieve(5000)
+        assert len(mu) == 5001
+        assert [mu[d] for d in range(1, 5001)] == [mobius(d) for d in range(1, 5001)]
+
+    def test_sieve_smallest(self):
+        assert _mobius_sieve(1) == [0, 1]
+        assert _mobius_sieve(2) == [0, 1, -1]
+
+    def test_cache_is_bounded(self):
+        assert mobius.cache_info().maxsize is not None
+
 
 class TestPhiInterval:
     def test_euler_phi_special_case(self):
@@ -59,6 +76,19 @@ class TestPhiInterval:
         for lo in range(0, 60, 7):
             for hi in range(lo + 1, 61, 5):
                 assert phi_interval_mobius(h, lo, hi) == phi_interval(h, lo + 1, hi)
+
+    @pytest.mark.parametrize("h", range(1, 41))
+    def test_every_interval_matches_gcd_count(self, h):
+        # count[x] = how many j in [1, x] are coprime to h, counted by gcd
+        count = [0, *accumulate(gcd(h, j) == 1 for j in range(1, 171))]
+        for i in range(1, 91):
+            for l in range(0, 171):
+                assert phi_interval(h, i, l) == max(0, count[l] - count[i - 1]), (h, i, l)
+
+    @pytest.mark.parametrize("h", [_PREFIX_MAX_H, _PREFIX_MAX_H + 1, 2 * 3 * 5 * 7 * 11])
+    def test_large_h_matches_oracle(self, h):
+        for i, l in [(1, 5), (1, 2 * h + 3), (h - 2, h + 9), (3 * h + 1, 3 * h), (7, 1500)]:
+            assert phi_interval(h, i, l) == brute_coprime_count(h, i, l)
 
     @given(st.integers(1, 200), st.integers(1, 150), st.integers(0, 80))
     @settings(max_examples=200)

@@ -14,6 +14,7 @@ from fareylattice.sequences import (
     SeqDescriptor,
     farey,
     farey_boolean,
+    iter_pairs,
     iter_terms,
     left_half,
     materialize,
@@ -171,6 +172,26 @@ class TestOneDefinition:
     def test_streaming_needs_no_materialization_guard(self):
         terms = iter_terms(SeqDescriptor(FAREY, MAX_ORDER + 1))
         assert [next(terms), next(terms)] == [Frac(0, 1), Frac(1, MAX_ORDER + 1)]
+
+
+class TestPairs:
+    """iter_terms wraps iter_pairs' pairs as Frac without a gcd; these
+    properties are what make that sound."""
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_pairs_are_coprime_and_unimodular(self, n):
+        for d in descriptors(n):
+            pairs = list(iter_pairs(d))
+            assert all(0 <= h <= k and gcd(h, k) == 1 for h, k in pairs), d
+            for (h0, k0), (h1, k1) in zip(pairs, pairs[1:]):
+                assert h1 * k0 - h0 * k1 == 1, (d, h0, k0, h1, k1)
+
+    @pytest.mark.parametrize("n", [1, 7, 12])
+    def test_terms_wrap_pairs(self, n):
+        for d in descriptors(n):
+            terms = list(iter_terms(d))
+            assert [(f.h, f.k) for f in terms] == list(iter_pairs(d))
+            assert terms == [Frac(h, k) for h, k in iter_pairs(d)]
 
 
 class TestIndexing:
