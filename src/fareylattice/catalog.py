@@ -15,10 +15,12 @@ Eleven maps, each a 2x2 integer matrix acting on h/k as a column vector:
   farey-to-right   farey(m)      -> right half       k/(k+h)      reversing
 
 All but the first require n = 2m; the four farey bridges require m > 1.
-Each map is checked two ways: extensionally, by applying the matrix to
-every term of a materialized domain and comparing with the codomain, and
-intensionally, through determinant, involution, and inverse-pair identities
-on the matrices themselves.
+The matrices are in MATRICES and everything else about a map is one row of
+_MAPS, from which catalog() builds its descriptors.  Each map is checked two
+ways: extensionally, by mapping every (h, k) pair iter_pairs generates for
+the domain and comparing the images, in order, with the codomain's pairs,
+and intensionally, through determinant, involution, and inverse-pair
+identities on the matrices themselves.
 """
 
 from __future__ import annotations
@@ -30,11 +32,11 @@ from .sequences import (
     BOOLEAN,
     FAREY,
     LEFT_HALF,
+    MAX_ORDER,
     RIGHT_HALF,
-    FareySeq,
     SeqDescriptor,
     farey_boolean,
-    materialize,
+    iter_pairs,
 )
 
 PRESERVING = "preserving"
@@ -69,17 +71,27 @@ MATRICES: dict[str, tuple[int, int, int, int]] = {
 
 MAP_NAMES = tuple(MATRICES)
 
-# self-inverse maps, and the mutually inverse pairs
-_INVOLUTIONS = frozenset(
-    {COMPLEMENT, FAREY_REVERSAL, SYM_COMPLEMENT, LEFT_FLIP, RIGHT_FLIP}
-)
-_INVERSE_OF = {
-    LEFT_TO_RIGHT: RIGHT_TO_LEFT,
-    RIGHT_TO_LEFT: LEFT_TO_RIGHT,
-    LEFT_TO_FAREY: FAREY_TO_LEFT,
-    FAREY_TO_LEFT: LEFT_TO_FAREY,
-    RIGHT_TO_FAREY: FAREY_TO_RIGHT,
-    FAREY_TO_RIGHT: RIGHT_TO_FAREY,
+# A row names its endpoints by slot: BOOLEAN is boolean(n, m), which is the
+# symmetric sequence when n = 2m, LEFT_HALF and RIGHT_HALF are its halves,
+# FAREY is farey(m) and _DUAL is boolean(n, n - m).
+_DUAL = "dual"
+
+# What a map needs beyond 0 < m < n; each level includes the ones before.
+_ANY, _SYMMETRIC, _BRIDGE = 0, 1, 2  # _SYMMETRIC is n = 2m, _BRIDGE adds m > 1
+
+# name -> (domain, codomain, direction, the map that undoes it, when it applies)
+_MAPS = {
+    COMPLEMENT: (BOOLEAN, _DUAL, REVERSING, COMPLEMENT, _ANY),
+    FAREY_REVERSAL: (FAREY, FAREY, REVERSING, FAREY_REVERSAL, _SYMMETRIC),
+    SYM_COMPLEMENT: (BOOLEAN, BOOLEAN, REVERSING, SYM_COMPLEMENT, _SYMMETRIC),
+    LEFT_FLIP: (LEFT_HALF, LEFT_HALF, REVERSING, LEFT_FLIP, _SYMMETRIC),
+    RIGHT_FLIP: (RIGHT_HALF, RIGHT_HALF, REVERSING, RIGHT_FLIP, _SYMMETRIC),
+    LEFT_TO_RIGHT: (LEFT_HALF, RIGHT_HALF, PRESERVING, RIGHT_TO_LEFT, _SYMMETRIC),
+    RIGHT_TO_LEFT: (RIGHT_HALF, LEFT_HALF, PRESERVING, LEFT_TO_RIGHT, _SYMMETRIC),
+    LEFT_TO_FAREY: (LEFT_HALF, FAREY, PRESERVING, FAREY_TO_LEFT, _BRIDGE),
+    FAREY_TO_LEFT: (FAREY, LEFT_HALF, PRESERVING, LEFT_TO_FAREY, _BRIDGE),
+    RIGHT_TO_FAREY: (RIGHT_HALF, FAREY, REVERSING, FAREY_TO_RIGHT, _BRIDGE),
+    FAREY_TO_RIGHT: (FAREY, RIGHT_HALF, REVERSING, RIGHT_TO_FAREY, _BRIDGE),
 }
 
 
@@ -133,59 +145,27 @@ def _mat(name: str) -> UnimodularMap:
     return UnimodularMap(*MATRICES[name], check=False)
 
 
-def _entry(name: str, domain: SeqDescriptor, codomain: SeqDescriptor,
-           direction: str) -> MapDescriptor:
-    return MapDescriptor(
-        name=name,
-        matrix=_mat(name),
-        domain=domain,
-        codomain=codomain,
-        direction=direction,
-        involution=name in _INVOLUTIONS,
-        inverse_of=_INVERSE_OF.get(name),
-    )
-
-
 def catalog(n: int, m: int) -> list[MapDescriptor]:
-    """All catalog maps applicable to the pair (n, m).
+    """All catalog maps applicable to the pair (n, m), one per row of _MAPS.
 
     The complement map exists for every 0 < m < n.  The rest require the
     symmetric case n = 2m, and the four farey bridges additionally m > 1.
     """
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got n={n}, m={m}")
-    entries = [
-        _entry(COMPLEMENT, SeqDescriptor(BOOLEAN, n, m),
-               SeqDescriptor(BOOLEAN, n, n - m), REVERSING),
+    level = _ANY if n != 2 * m else _SYMMETRIC if m == 1 else _BRIDGE
+    slots = {BOOLEAN: SeqDescriptor(BOOLEAN, n, m), _DUAL: SeqDescriptor(BOOLEAN, n, n - m)}
+    if level > _ANY:
+        slots.update({LEFT_HALF: SeqDescriptor(LEFT_HALF, n, m),
+                      RIGHT_HALF: SeqDescriptor(RIGHT_HALF, n, m),
+                      FAREY: SeqDescriptor(FAREY, m)})
+    return [
+        MapDescriptor(name, _mat(name), slots[domain], slots[codomain], direction,
+                      involution=partner == name,
+                      inverse_of=None if partner == name else partner)
+        for name, (domain, codomain, direction, partner, needs) in _MAPS.items()
+        if needs <= level
     ]
-    if n != 2 * m:
-        return entries
-
-    sym = SeqDescriptor(BOOLEAN, n, m)
-    left = SeqDescriptor(LEFT_HALF, n, m)
-    right = SeqDescriptor(RIGHT_HALF, n, m)
-    std = SeqDescriptor(FAREY, m)
-
-    entries += [
-        _entry(FAREY_REVERSAL, std, std, REVERSING),
-        _entry(SYM_COMPLEMENT, sym, sym, REVERSING),
-        _entry(LEFT_FLIP, left, left, REVERSING),
-        _entry(RIGHT_FLIP, right, right, REVERSING),
-        _entry(LEFT_TO_RIGHT, left, right, PRESERVING),
-        _entry(RIGHT_TO_LEFT, right, left, PRESERVING),
-    ]
-    if m > 1:
-        entries += [
-            _entry(LEFT_TO_FAREY, left, std, PRESERVING),
-            _entry(FAREY_TO_LEFT, std, left, PRESERVING),
-            _entry(RIGHT_TO_FAREY, right, std, REVERSING),
-            _entry(FAREY_TO_RIGHT, std, right, REVERSING),
-        ]
-    return entries
-
-
-def _plus_minus_identity(mat: UnimodularMap) -> bool:
-    return mat.is_identity() or (-mat).is_identity()
 
 
 def _context_params(d: MapDescriptor) -> tuple[int, int]:
@@ -197,15 +177,46 @@ def _context_params(d: MapDescriptor) -> tuple[int, int]:
     return 2 * d.domain.n, d.domain.n
 
 
-def verify_map(d: MapDescriptor,
-               cache: dict[SeqDescriptor, FareySeq] | None = None) -> VerificationReport:
+def _mismatch(d: MapDescriptor, images: list[tuple[int, int]],
+              expected: list[tuple[int, int]]) -> tuple[list[tuple[str, bool]], Counterexample]:
+    """The failed checks and a counterexample when the images are not `expected`.
+
+    In order: the first invalid image, the first image outside the codomain,
+    the first codomain term with no preimage, and only when the image set is
+    the codomain, the first index out of the map's direction.
+    """
+    domain = [Frac._coprime(h, k) for h, k in iter_pairs(d.domain)]
+    for f in domain:
+        try:
+            d.matrix.apply(f)
+        except (ValueError, ArithmeticError) as exc:
+            return [("image-set", False)], Counterexample(f, None, str(exc))
+    for f, (h, k) in zip(domain, images):
+        g = Frac._coprime(h, k)
+        if g not in d.codomain:
+            return [("image-set", False)], Counterexample(f, g, "image is not a codomain term")
+    image_set = set(images)
+    for h, k in iter_pairs(d.codomain):
+        if (h, k) not in image_set:
+            return ([("image-set", False)],
+                    Counterexample(None, Frac._coprime(h, k), "codomain term has no preimage"))
+    # a unimodular map is one to one, so the images are the codomain reordered
+    i = next(i for i, (g, want) in enumerate(zip(images, expected)) if g != want)
+    reason = f"expected {expected[i][0]}/{expected[i][1]} for {d.direction} order at index {i}"
+    return ([("image-set", True), ("direction", False)],
+            Counterexample(domain[i], Frac._coprime(*images[i]), reason))
+
+
+def verify_map(d: MapDescriptor) -> VerificationReport:
     """Run every applicable check on one catalog map.
 
-    Failures are reported, never raised.  A shared `cache` of materialized
-    sequences avoids regenerating them when verifying a whole catalog.
+    Both endpoints come from iter_pairs, never through a catalog map.  The
+    images of the domain's pairs, taken in order, must equal the codomain's
+    pairs in the map's direction; _mismatch classifies any difference.
+    Failures are reported, never raised; an order above MAX_ORDER raises
+    ValueError.
     """
     report = VerificationReport(d.name, *_context_params(d))
-    cache = cache if cache is not None else {}
 
     det_ok = abs(d.matrix.det) == 1
     report.checks.append(("determinant", det_ok))
@@ -215,61 +226,34 @@ def verify_map(d: MapDescriptor,
         )
         return report
 
-    def seq(desc: SeqDescriptor) -> FareySeq:
-        if desc not in cache:
-            cache[desc] = materialize(desc)
-        return cache[desc]
+    for desc in (d.domain, d.codomain):
+        if desc.n > MAX_ORDER:
+            raise ValueError(f"order {desc.n} exceeds the materialization guard {MAX_ORDER}")
 
-    domain, codomain = seq(d.domain), seq(d.codomain)
-
-    images: list[Frac] = []
-    for f in domain:
-        try:
-            images.append(d.matrix.apply(f))
-        except (ValueError, ArithmeticError) as exc:
-            report.checks.append(("image-set", False))
-            report.counterexample = Counterexample(f, None, str(exc))
-            return report
-
-    image_set = set(images)
-    image_set_ok = image_set == set(codomain.terms)
-    report.checks.append(("image-set", image_set_ok))
-    if not image_set_ok:
-        stray = next(((f, g) for f, g in zip(domain, images) if g not in codomain), None)
-        if stray is not None:
-            report.counterexample = Counterexample(
-                stray[0], stray[1], "image is not a codomain term"
-            )
-        else:
-            missing = next(g for g in codomain if g not in image_set)
-            report.counterexample = Counterexample(None, missing, "codomain term has no preimage")
+    a, b, c, e = d.matrix.entries()  # [[a, b], [c, e]]
+    images = [(a * h + b * k, c * h + e * k) for h, k in iter_pairs(d.domain)]
+    expected = list(iter_pairs(d.codomain))
+    if d.direction != PRESERVING:
+        expected.reverse()
+    if images != expected:
+        failed, report.counterexample = _mismatch(d, images, expected)
+        report.checks += failed
         return report
-
-    last = len(codomain) - 1
-    for i, (f, g) in enumerate(zip(domain, images)):
-        expected = codomain[i] if d.direction == PRESERVING else codomain[last - i]
-        if g != expected:
-            report.checks.append(("direction", False))
-            report.counterexample = Counterexample(
-                f, g, f"expected {expected} for {d.direction} order at index {i}"
-            )
-            return report
-    report.checks.append(("direction", True))
+    report.checks += [("image-set", True), ("direction", True)]
 
     if d.involution:
-        report.checks.append(("involution", _plus_minus_identity(d.matrix @ d.matrix)))
+        report.checks.append(("involution", d.matrix.is_involution()))
     if d.inverse_of is not None:
         partner = _mat(d.inverse_of)
-        report.checks.append(("inverse-pair", _plus_minus_identity(partner @ d.matrix)))
+        report.checks.append(("inverse-pair", (partner @ d.matrix)._is_plus_minus_identity()))
     if not report.passed and report.counterexample is None:
         report.counterexample = Counterexample(None, None, "matrix identity check failed")
     return report
 
 
 def verify_catalog(n: int, m: int) -> list[VerificationReport]:
-    """Verify every catalog map for (n, m), sharing materialized sequences."""
-    cache: dict[SeqDescriptor, FareySeq] = {}
-    return [verify_map(d, cache) for d in catalog(n, m)]
+    """Verify every catalog map for (n, m), each from freshly generated pairs."""
+    return [verify_map(d) for d in catalog(n, m)]
 
 
 def matrix_coherence_checks() -> list[tuple[str, bool]]:

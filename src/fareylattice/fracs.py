@@ -161,8 +161,11 @@ class UnimodularMap:
 
     def is_involution(self) -> bool:
         """True when the matrix squares to plus or minus the identity."""
-        sq = self @ self
-        return sq.is_identity() or (-sq).is_identity()
+        return (self @ self)._is_plus_minus_identity()
+
+    def _is_plus_minus_identity(self) -> bool:
+        # +-I fixes every fraction; catalog's inverse-pair check uses this too
+        return self.is_identity() or (-self).is_identity()
 
     def entries(self) -> tuple[int, int, int, int]:
         return (self.a, self.b, self.c, self.d)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, gcd
+from math import comb, gcd, isqrt
 from operator import mul
 
 from .fracs import HALF, Frac
@@ -102,15 +102,21 @@ def phi_interval(h: int, i: int, l: int) -> int:
 
 def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
     """Coprime count on [lower+1, upper] via the divisor sum
-    sum_{d | h, d <= min(upper, h)} mu(d) * (upper//d - lower//d)."""
+    sum_{d | h, d <= upper} mu(d) * (upper//d - lower//d).
+
+    The divisors pair up as d and h // d with d <= isqrt(h); an h < 1 has
+    none.  A divisor above upper would add 0, so it is skipped.
+    """
     if lower < 0:
         raise ValueError(f"interval bound must be nonnegative, got {lower}")
     if lower >= upper:
         raise ValueError(f"empty interval [{lower + 1}, {upper}]")
     total = 0
-    for d in range(1, min(upper, h) + 1):
+    for d in range(1, isqrt(max(h, 0)) + 1):
         if h % d == 0:
-            total += mobius(d) * (upper // d - lower // d)
+            for e in {d, h // d}:
+                if e <= upper:
+                    total += mobius(e) * (upper // e - lower // e)
     return total
 
 

@@ -11,10 +11,12 @@ from fareylattice.catalog import (
     MAP_NAMES,
     MATRICES,
     PRESERVING,
+    REVERSING,
     RIGHT_FLIP,
     RIGHT_TO_FAREY,
     RIGHT_TO_LEFT,
     SYM_COMPLEMENT,
+    Counterexample,
     MapDescriptor,
     catalog,
     matrix_coherence_checks,
@@ -23,7 +25,16 @@ from fareylattice.catalog import (
     verify_map,
 )
 from fareylattice.fracs import Frac, UnimodularMap
-from fareylattice.sequences import BOOLEAN, SeqDescriptor, farey, farey_boolean, right_half
+from fareylattice.sequences import (
+    BOOLEAN,
+    FAREY,
+    LEFT_HALF,
+    MAX_ORDER,
+    SeqDescriptor,
+    farey,
+    farey_boolean,
+    right_half,
+)
 
 
 class TestCatalogContents:
@@ -122,6 +133,30 @@ class TestVerifyMap:
         reports = {r.name: r for r in verify_catalog(12, 6)}
         assert (reports[FAREY_REVERSAL].n, reports[FAREY_REVERSAL].m) == (12, 6)
         assert (reports[LEFT_TO_FAREY].n, reports[LEFT_TO_FAREY].m) == (12, 6)
+
+    def test_missing_codomain_term_is_an_image_set_failure(self):
+        # every image of farey(5) is a left-half term and they ascend, but
+        # 1/7 has no preimage: an image-set failure, not a direction one
+        bad = MapDescriptor(FAREY_TO_LEFT, UnimodularMap(*MATRICES[FAREY_TO_LEFT]),
+                            SeqDescriptor(FAREY, 5), SeqDescriptor(LEFT_HALF, 12, 6),
+                            PRESERVING)
+        report = verify_map(bad)
+        assert report.checks == [("determinant", True), ("image-set", False)]
+        assert report.counterexample == Counterexample(
+            None, Frac(1, 7), "codomain term has no preimage")
+
+    def test_invalid_image_reports_the_apply_error(self):
+        bad = MapDescriptor(RIGHT_TO_FAREY, UnimodularMap(*MATRICES[RIGHT_TO_FAREY]),
+                            SeqDescriptor(LEFT_HALF, 12, 6), SeqDescriptor(FAREY, 6),
+                            REVERSING)
+        report = verify_map(bad)
+        assert report.checks == [("determinant", True), ("image-set", False)]
+        assert report.counterexample == Counterexample(
+            Frac(0, 1), None, "0/1 maps to nonpositive denominator under [[-1,1],[1,0]]")
+
+    def test_order_above_guard_raises(self):
+        with pytest.raises(ValueError, match=f"exceeds the materialization guard {MAX_ORDER}"):
+            verify_map(catalog(MAX_ORDER + 1, 1)[0])
 
 
 class TestMatrixStructure:
