@@ -39,6 +39,8 @@ from .neighbors import (
     succ_in_boolean,
 )
 from .sequences import (
+    BOOLEAN,
+    FAREY,
     LEFT_HALF,
     RIGHT_HALF,
     FareySeq,
@@ -177,11 +179,15 @@ def _check_report(report: ident.IdentityReport) -> Check:
             "" if report.passed else f"lhs={report.lhs} rhs={report.rhs}")
 
 
+def _count_pairs(d: SeqDescriptor) -> int:
+    return sum(1 for _ in iter_pairs(d))
+
+
 def _sweep_identities(max_n: int, max_m: int) -> Iterator[Check]:
     for m in range(1, max_m + 1):
-        got, want = len(farey(m)), ident.farey_size(m)
+        got, want = _count_pairs(SeqDescriptor(FAREY, m)), ident.farey_size(m)
         yield (f"size farey m={m}", got == want, f"generated {got}, closed form {want}")
-        got, want = len(farey_boolean(2 * m, m)), ident.farey_boolean_size(m)
+        got, want = _count_pairs(SeqDescriptor(BOOLEAN, 2 * m, m)), ident.farey_boolean_size(m)
         yield (f"size boolean m={m}", got == want, f"generated {got}, closed form {want}")
     for m in range(2, max_m + 1):
         lhs, rhs = ident.farey_boolean_size(m), 2 * ident.farey_size(m) - 1

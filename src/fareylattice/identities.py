@@ -3,7 +3,8 @@ binomial-sum identities carried by the interior fractions of the sequences.
 
 Every identity's left side is one pair sum over a stretch of a sequence,
 sum_f sum_s C(M, s*a) * C(M', s*b), where a and b are linear forms in the
-terms h/k (h, k, k-h, k-2h or 2h-k); _pair_sum computes all of them.
+terms h/k (h, k, k-h, k-2h or 2h-k); _pair_sum computes all of them from
+the (h, k) int pairs that sequences.iter_pairs generates.
 
 Every value here is an exact Python int; the sums grow like 2^(2m), so no
 floating point is allowed anywhere in this module.
@@ -16,8 +17,7 @@ from functools import lru_cache
 from math import comb, gcd, isqrt
 from operator import mul
 
-from .fracs import HALF, Frac
-from .sequences import FareySeq, farey, farey_boolean
+from .sequences import BOOLEAN, FAREY, MAX_COUNT_ORDER, SeqDescriptor, iter_pairs
 
 
 @lru_cache(maxsize=4096)
@@ -100,23 +100,37 @@ def phi_interval(h: int, i: int, l: int) -> int:
     return (hi_q - lo_q) * prefix[h] + prefix[hi_r] - prefix[lo_r]
 
 
+@lru_cache(maxsize=1024)
+def _squarefree_divisors(h: int) -> tuple[tuple[int, int], ...]:
+    """(d, mu(d)) for the divisors d of h with mu(d) != 0, ascending; an
+    h < 1 has none.
+
+    The divisors pair up as d and h // d with d <= isqrt(h); mu is the
+    trial-division mobius, so the divisor sum stays independent of the
+    sieve and the gcd counts it is checked against.
+    """
+    small = [d for d in range(1, isqrt(max(h, 0)) + 1) if h % d == 0]
+    large = [h // d for d in reversed(small) if d * d != h]
+    return tuple((d, mu) for d in small + large if (mu := mobius(d)))
+
+
 def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
     """Coprime count on [lower+1, upper] via the divisor sum
     sum_{d | h, d <= upper} mu(d) * (upper//d - lower//d).
 
-    The divisors pair up as d and h // d with d <= isqrt(h); an h < 1 has
-    none.  A divisor above upper would add 0, so it is skipped.
+    h's squarefree divisors and their mu are listed once per h (a bounded
+    cache); every call still sums its own interval, stopping at the first
+    divisor above upper, which would add 0.
     """
     if lower < 0:
         raise ValueError(f"interval bound must be nonnegative, got {lower}")
     if lower >= upper:
         raise ValueError(f"empty interval [{lower + 1}, {upper}]")
     total = 0
-    for d in range(1, isqrt(max(h, 0)) + 1):
-        if h % d == 0:
-            for e in {d, h // d}:
-                if e <= upper:
-                    total += mobius(e) * (upper // e - lower // e)
+    for d, mu in _squarefree_divisors(h):
+        if d > upper:
+            break
+        total += mu * (upper // d - lower // d)
     return total
 
 
@@ -124,6 +138,8 @@ def _mobius_size_sum(m: int) -> int:
     """sum_d mu(d) * floor(m/d) * (floor(m/d) + 1), shared by both sizes."""
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
+    if m > MAX_COUNT_ORDER:
+        raise ValueError(f"order {m} exceeds the counting bound {MAX_COUNT_ORDER}")
     mu = _mobius_sieve(m)
     return sum(mu[d] * (m // d) * (m // d + 1) for d in range(1, m + 1) if mu[d])
 
@@ -176,29 +192,30 @@ class IdentityReport:
         return f"{self.name} {params}: lhs={self.lhs} rhs={self.rhs} {status}"
 
 
-def _interior(seq: FareySeq) -> list[Frac]:
-    return [f for f in seq if 0 < f.h < f.k]
+def _interior(d: SeqDescriptor) -> list[tuple[int, int]]:
+    """The (h, k) pairs of the sequence d names with 0 < h/k < 1."""
+    return [(h, k) for h, k in iter_pairs(d) if 0 < h < k]
 
 
 # linear forms u*h + v*k in the terms h/k, written (u, v)
 _H, _K, _K_H, _K_2H, _2H_K = (1, 0), (0, 1), (-1, 1), (-2, 1), (2, -1)
 
 
-def _pair_sum(fractions: list[Frac], m1: int, m2: int,
+def _pair_sum(pairs: list[tuple[int, int]], m1: int, m2: int,
               forms: list[tuple[tuple[int, int], tuple[int, int]]]) -> int:
-    """sum over f = h/k, over (a, b) in forms and over s >= 1 of
+    """sum over the terms (h, k), over (a, b) in forms and over s >= 1 of
     C(m1, s*a(h, k)) * C(m2, s*b(h, k)), s running until either is zero.
 
-    Every form must be positive on every fraction given.
+    Every form must be positive on every pair given.
     """
     row1 = [comb(m1, i) for i in range(m1 + 1)]
     row2 = [comb(m2, i) for i in range(m2 + 1)]
     total = 0
-    for f in fractions:
+    for h, k in pairs:
         for (u1, v1), (u2, v2) in forms:
-            a, b = u1 * f.h + v1 * f.k, u2 * f.h + v2 * f.k
+            a, b = u1 * h + v1 * k, u2 * h + v2 * k
             if a < 1 or b < 1:
-                raise ValueError(f"form value {a} or {b} is not positive at {f}")
+                raise ValueError(f"form value {a} or {b} is not positive at {h}/{k}")
             # row[a::a] holds C(m, s*a) for s = 1, 2, ... while s*a <= m
             total += sum(map(mul, row1[a::a], row2[b::b]))
     return total
@@ -218,8 +235,8 @@ def interior_duality(n: int, m: int) -> IdentityReport:
     """The interior double sums of the (n, m) and (n, n-m) subsequences
     both collapse to 2^n - 2^m - 2^(n-m) + 1."""
     lhs = [
-        _pair_sum(_interior(farey_boolean(n, m)), m, n - m, [(_H, _K_H)]),
-        _pair_sum(_interior(farey_boolean(n, n - m)), n - m, m, [(_H, _K_H)]),
+        _pair_sum(_interior(SeqDescriptor(BOOLEAN, n, m)), m, n - m, [(_H, _K_H)]),
+        _pair_sum(_interior(SeqDescriptor(BOOLEAN, n, n - m)), n - m, m, [(_H, _K_H)]),
     ]
     return IdentityReport("interior-duality", {"n": n, "m": m}, lhs,
                           2 ** n - 2 ** m - 2 ** (n - m) + 1)
@@ -228,7 +245,7 @@ def interior_duality(n: int, m: int) -> IdentityReport:
 def filter_partition(n: int, m: int) -> IdentityReport:
     """2^n - 2^(n-m) subsets meet the marked m-block; removing the 2^m - 1
     subsets inside the block leaves the interior double sum."""
-    interior = _pair_sum(_interior(farey_boolean(n, m)), m, n - m, [(_H, _K_H)])
+    interior = _pair_sum(_interior(SeqDescriptor(BOOLEAN, n, m)), m, n - m, [(_H, _K_H)])
     return IdentityReport("filter-partition", {"n": n, "m": m},
                           [2 ** n - 2 ** (n - m)],
                           2 ** m - 1 + interior)
@@ -246,14 +263,14 @@ def symmetric_identities(m: int) -> list[IdentityReport]:
 
     Left of 1/2 the summand is C(m, s*(k-h)) * (C(m, s*h) [+ C(m, s*(k-2h))]);
     right of 1/2 the roles of h and k-h swap and the thirds term uses 2h-k.
+    The stretches are split by cross-multiplication: h/k < 1/2 is 2h < k.
     """
     if m <= 1:
         raise ValueError(f"identities need m > 1, got {m}")
-    interior = _interior(farey_boolean(2 * m, m))
+    interior = _interior(SeqDescriptor(BOOLEAN, 2 * m, m))
     halves_rhs, cross = _halves_and_cross(m)
-    third, two_thirds = Frac(1, 3), Frac(2, 3)
-    below = [f for f in interior if f < HALF]
-    above = [f for f in interior if f > HALF]
+    below = [(h, k) for h, k in interior if 2 * h < k]
+    above = [(h, k) for h, k in interior if 2 * h > k]
     left, right = [(_K_H, _H)], [(_H, _K_H)]
     left3, right3 = left + [(_K_H, _K_2H)], right + [(_H, _2H_K)]
     return [
@@ -264,10 +281,10 @@ def symmetric_identities(m: int) -> list[IdentityReport]:
                        [_pair_sum(below, m, m, left), _pair_sum(above, m, m, right)],
                        halves_rhs),
         IdentityReport("sym-thirds", {"m": m},
-                       [_pair_sum([f for f in below if f < third], m, m, left3),
-                        _pair_sum([f for f in below if third < f], m, m, left3),
-                        _pair_sum([f for f in above if f < two_thirds], m, m, right3),
-                        _pair_sum([f for f in above if two_thirds < f], m, m, right3)],
+                       [_pair_sum([(h, k) for h, k in below if 3 * h < k], m, m, left3),
+                        _pair_sum([(h, k) for h, k in below if 3 * h > k], m, m, left3),
+                        _pair_sum([(h, k) for h, k in above if 3 * h < 2 * k], m, m, right3),
+                        _pair_sum([(h, k) for h, k in above if 3 * h > 2 * k], m, m, right3)],
                        halves_rhs - cross),
     ]
 
@@ -283,14 +300,14 @@ def farey_identities(m: int) -> list[IdentityReport]:
     """
     if m <= 1:
         raise ValueError(f"identities need m > 1, got {m}")
-    interior = _interior(farey(m))
+    interior = _interior(SeqDescriptor(FAREY, m))
     interior_rhs, cross = _halves_and_cross(m)
     paired = [(_K, _H), (_K, _K_H)]
     return [
         IdentityReport("farey-interior", {"m": m},
                        [_pair_sum(interior, m, m, [(_H, _K)])], interior_rhs),
         IdentityReport("farey-halves", {"m": m},
-                       [_pair_sum([f for f in interior if f < HALF], m, m, paired),
-                        _pair_sum([f for f in interior if f > HALF], m, m, paired)],
+                       [_pair_sum([(h, k) for h, k in interior if 2 * h < k], m, m, paired),
+                        _pair_sum([(h, k) for h, k in interior if 2 * h > k], m, m, paired)],
                        interior_rhs - cross),
     ]

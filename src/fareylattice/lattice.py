@@ -9,13 +9,17 @@ theory involved, so these scans validate the closed-form modules.
 Each (n, m) is scanned once, into a histogram of (|B & A|, |B|) cells
 that the enumeration, the rank-slice counts and the filter cardinality all
 read.  The cells are counted word by word, never taken from binomials:
-C(m, j) * C(n-m, l-j) is the identity the scan is there to check.
+C(m, j) * C(n-m, l-j) is the identity the scan is there to check.  A scan
+keeps no per-word buffer; its one table has 2^m bytes, under one byte per
+word, so a scan at ENUM_BOUND holds at most 8 MiB.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from itertools import chain, repeat
+from operator import add
 
 from .fracs import Frac
 from .identities import IdentityReport
@@ -37,9 +41,20 @@ def _intersection_histogram(n: int, m: int) -> dict[tuple[int, int], int]:
 
     The module's only scan of the 2^n words.  Every public function reads
     its (j, l) cells, and the cache lets them share one scan per (n, m).
+
+    Every word w is counted once, under a code for its own cell: l is
+    w.bit_count(), and since w & A == w mod 2^m, j is the popcount of word
+    w mod 2^m.  The table `marked` holds (n-m)*j for the first 2^m words
+    and is read 2^(n-m) times over, so the code is l + (n-m)*j =
+    (n-m+1)*j + (l-j).  Codes stay below (n/2 + 1)^2, so for
+    n <= ENUM_BOUND each fits in a byte and is a cached small int.
     """
-    amask = (1 << m) - 1
-    return Counter(((bits & amask).bit_count(), bits.bit_count()) for bits in range(1 << n))
+    words = range(1 << n)
+    scale = n - m
+    marked = bytes(map(scale.__mul__, map(int.bit_count, words[: 1 << m])))
+    codes = map(add, map(int.bit_count, words), chain.from_iterable(repeat(marked, 1 << scale)))
+    width = scale + 1
+    return {(c // width, c // width + c % width): count for c, count in Counter(codes).items()}
 
 
 def enumerate_fractions(n: int, m: int) -> FareySeq:

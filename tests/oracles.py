@@ -5,6 +5,7 @@ use stdlib Fraction for ordering and raw filtering/enumeration for
 membership, so agreement with the package is meaningful evidence.
 """
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -39,6 +40,13 @@ def brute_subset_fractions(n: int, m: int) -> list[tuple[int, int]]:
     return [(f.numerator, f.denominator) for f in sorted(vals)]
 
 
+def brute_intersection_histogram(n: int, m: int) -> Counter:
+    """counts[(|B & A|, |B|)] over all 2^n bitmask subsets B, one word at a
+    time, with A the low m bits."""
+    amask = (1 << m) - 1
+    return Counter(((bits & amask).bit_count(), bits.bit_count()) for bits in range(1 << n))
+
+
 def brute_mobius(d: int) -> int:
     """Moebius function from an explicit factorization."""
     factors = []
@@ -57,3 +65,10 @@ def brute_mobius(d: int) -> int:
 
 def brute_coprime_count(h: int, i: int, l: int) -> int:
     return sum(1 for j in range(i, l + 1) if gcd(h, j) == 1)
+
+
+def brute_divisor_sum(h: int, lower: int, upper: int) -> int:
+    """sum of mu(d) * (upper//d - lower//d) over every d <= upper dividing h
+    (an h < 1 has no divisors), mu from the factorization oracle."""
+    return sum(brute_mobius(d) * (upper // d - lower // d)
+               for d in range(1, min(h, upper) + 1) if h % d == 0)

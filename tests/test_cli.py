@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from fareylattice import cli
+from fareylattice import identities as ident
 from fareylattice.catalog import MATRICES, SYM_COMPLEMENT
 from fareylattice.cli import emit_json, main
 from fareylattice.fracs import Frac
@@ -16,6 +17,7 @@ from fareylattice.sequences import (
     BOOLEAN,
     FAREY,
     LEFT_HALF,
+    MAX_COUNT_ORDER,
     MAX_ORDER,
     RIGHT_HALF,
     UPPER,
@@ -201,6 +203,23 @@ class TestIndexCount:
     def test_count_farey(self, capsys):
         rc, out, _ = run(capsys, "count", "--family", "farey", "--m", "6")
         assert rc == 0 and out.strip() == "13"
+
+    @pytest.mark.parametrize("family", ["farey", "boolean"])
+    def test_count_above_bound_refused_before_sieving(self, capsys, monkeypatch, family):
+        sieved = []
+        monkeypatch.setattr(ident, "_mobius_sieve", sieved.append)
+        rc, out, err = run(capsys, "count", "--family", family, "--m", str(MAX_COUNT_ORDER + 1))
+        assert rc == 2 and out == "" and sieved == []
+        assert err == f"error: order {MAX_COUNT_ORDER + 1} exceeds the counting bound " \
+                      f"{MAX_COUNT_ORDER}\n"
+
+    def test_count_at_bound_sieves(self, monkeypatch):
+        def refuse(m):
+            raise RuntimeError(f"sieve started at {m}")
+
+        monkeypatch.setattr(ident, "_mobius_sieve", refuse)
+        with pytest.raises(RuntimeError, match=f"sieve started at {MAX_COUNT_ORDER}$"):
+            ident.farey_size(MAX_COUNT_ORDER)
 
 
 class TestMap:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fareylattice import identities
 from fareylattice.identities import (
     _PREFIX_MAX_H,
     _mobius_sieve,
@@ -19,7 +20,7 @@ from fareylattice.identities import (
     symmetric_identities,
 )
 from fareylattice.sequences import farey, farey_boolean
-from oracles import brute_coprime_count, brute_mobius
+from oracles import brute_coprime_count, brute_divisor_sum, brute_mobius
 
 
 class TestMobius:
@@ -76,6 +77,17 @@ class TestPhiInterval:
         for lo in range(0, 60, 7):
             for hi in range(lo + 1, 61, 5):
                 assert phi_interval_mobius(h, lo, hi) == phi_interval(h, lo + 1, hi)
+
+    def test_divisor_sum_equals_brute_divisor_sum(self):
+        # uppers from 1 up past 600 fall below some divisors of most h
+        intervals = [(lo, hi) for lo in (0, 1, 4, 29) for hi in (1, 2, 3, 6, 10, 35, 97, 300, 601)
+                     if lo < hi]
+        for h in range(-3, 601):
+            for lo, hi in intervals:
+                assert phi_interval_mobius(h, lo, hi) == brute_divisor_sum(h, lo, hi), (h, lo, hi)
+
+    def test_divisor_cache_is_bounded(self):
+        assert identities._squarefree_divisors.cache_info().maxsize is not None
 
     @pytest.mark.parametrize("h", range(1, 41))
     def test_every_interval_matches_gcd_count(self, h):

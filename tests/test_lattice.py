@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import pytest
@@ -9,7 +10,7 @@ from fareylattice.lattice import (
     filter_cardinality_check,
 )
 from fareylattice.sequences import farey_boolean
-from oracles import brute_subset_fractions
+from oracles import brute_intersection_histogram, brute_subset_fractions
 
 
 class TestEnumerate:
@@ -104,3 +105,21 @@ class TestOneScan:
             for j in range(l + 1):
                 count_exact_intersection(10, 4, j, l)
         assert sum(scanned) == 2 ** 10
+
+
+class TestScan:
+    @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 15) for m in range(1, n)]
+                             + [(17, 1), (18, 5), (20, 10), (20, 19)])
+    def test_histogram_equals_per_word_count(self, n, m):
+        assert lattice._intersection_histogram(n, m) == brute_intersection_histogram(n, m)
+
+    def test_scan_holds_under_one_byte_per_word(self):
+        # m = n - 1 gives the largest marked-block table, 2^(n-1) bytes
+        lattice._intersection_histogram.cache_clear()
+        tracemalloc.start()
+        try:
+            lattice._intersection_histogram(20, 19)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
