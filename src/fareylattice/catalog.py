@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .fracs import Frac, UnimodularMap
+from .identities import farey_boolean_rank
 from .sequences import (
     BOOLEAN,
     FAREY,
@@ -35,7 +36,6 @@ from .sequences import (
     MAX_ORDER,
     RIGHT_HALF,
     SeqDescriptor,
-    farey_boolean,
     iter_pairs,
 )
 
@@ -281,17 +281,13 @@ def quarter_indices(m: int) -> tuple[int, int, int, int]:
 
     They always land in ratio 1:2:3:4, which in particular makes the last
     index (the length minus one) divisible by four; both facts are
-    asserted here rather than trusted.
+    asserted here rather than trusted.  The indices are Moebius counts
+    (identities.farey_boolean_rank), so no sequence is built and no map of
+    this catalog is used.
     """
     if m <= 1:
         raise ValueError(f"quarter indices need m > 1, got {m}")
-    seq = farey_boolean(2 * m, m)
-    idx = []
-    for f in (Frac(1, 3), Frac(1, 2), Frac(2, 3), Frac(1, 1)):
-        i = seq.index_of(f)
-        if i is None:
-            raise ArithmeticError(f"{f} missing from {seq.descriptor}")
-        idx.append(i)
+    idx = [farey_boolean_rank(h, k, m) for h, k in ((1, 3), (1, 2), (2, 3), (1, 1))]
     t13, t12, t23, t11 = idx
     if (t12, t23, t11) != (2 * t13, 3 * t13, 4 * t13):
         raise ArithmeticError(

@@ -8,7 +8,13 @@ command quietly with status 0.
 `gen` formats its text straight from sequences.iter_pairs' int pairs and
 writes it in batches of GEN_BATCH terms, one write per batch, in both
 formats; neither format holds the sequence, so neither is bound by the
-materialization guard.
+materialization guard.  `index` and `count` never build a sequence either:
+they are Moebius counts (identities.farey_rank, farey_boolean_rank and the
+sizes), bounded by MAX_COUNT_ORDER.
+
+Each verb is one row of _VERBS.  main builds the parser for the verb it
+runs and nothing else; it builds every verb only when argv does not start
+with a verb name, so that the usage error or help names all of them.
 """
 
 from __future__ import annotations
@@ -45,7 +51,6 @@ from .sequences import (
     RIGHT_HALF,
     FareySeq,
     SeqDescriptor,
-    farey,
     farey_boolean,
     iter_pairs,
 )
@@ -136,9 +141,13 @@ def _cmd_neighbor(args, out) -> int:
 
 def _cmd_index(args, out) -> int:
     f = Frac.parse(args.frac)
-    seq = farey(args.m) if args.family == "farey" else farey_boolean(2 * args.m, args.m)
-    i = seq.index_of(f)
-    print("absent" if i is None else i, file=out)
+    if args.family == "farey":
+        d, rank = SeqDescriptor(FAREY, args.m), ident.farey_rank
+    else:
+        d, rank = SeqDescriptor(BOOLEAN, 2 * args.m, args.m), ident.farey_boolean_rank
+    # ranked before the membership test, so the counting bound holds for every fraction
+    i = rank(f.h, f.k, args.m)
+    print(i if f in d else "absent", file=out)
     return 0
 
 
@@ -220,7 +229,8 @@ def _sweep_partition(max_n: int) -> Iterator[Check]:
 
 
 def _sweep_oracle(max_n: int) -> Iterator[Check]:
-    for n in range(2, min(max_n, lattice.ENUM_BOUND) + 1):
+    top = min(max_n, lattice.ENUM_BOUND)
+    for n in range(2, top + 1):
         for m in range(1, n):
             same = lattice.enumerate_fractions(n, m).terms == farey_boolean(n, m).terms
             yield (f"oracle enumerate n={n} m={m}", same, "")
@@ -232,6 +242,9 @@ def _sweep_oracle(max_n: int) -> Iterator[Check]:
                 yield (f"oracle rank-counts n={n} m={m}", ok, "")
             if n <= 20:
                 yield _check_report(lattice.filter_cardinality_check(n, m))
+    if max_n > top:
+        print(f"note: the oracle suite checked n = 2..{top} only; --max-n {max_n} exceeds "
+              f"lattice.ENUM_BOUND = {lattice.ENUM_BOUND}", file=sys.stderr)
 
 
 def _cmd_verify(args, out) -> int:
@@ -254,60 +267,74 @@ def _cmd_verify(args, out) -> int:
     return 1 if failed else 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# verb -> (its help, its handler, its arguments as (flag, add_argument keywords))
+_VERBS = {
+    "gen": ("print a sequence", _cmd_gen, (
+        ("--family", {"choices": ["farey", "upper", "boolean"], "required": True}),
+        ("--n", {"type": int, "required": True}),
+        ("--m", {"type": int}),
+        ("--half", {"choices": ["left", "right"]}),
+        ("--format", {"choices": ["plain", "json"], "default": "plain"}),
+    )),
+    "map": ("apply a catalog map to one fraction", _cmd_map, (
+        ("--name", {"required": True, "metavar": "MAP",
+                    "help": "one of: " + ", ".join(MAP_NAMES)}),
+        ("--n", {"type": int, "required": True}),
+        ("--m", {"type": int, "required": True}),
+        ("--frac", {"required": True, "metavar": "H/K"}),
+    )),
+    "neighbor": ("step to an adjacent term", _cmd_neighbor, (
+        ("--family", {"choices": ["farey", "boolean"], "required": True}),
+        ("--m", {"type": int, "required": True}),
+        ("--frac", {"required": True, "metavar": "H/K"}),
+        ("--dir", {"choices": ["next", "prev"], "required": True}),
+    )),
+    "index": ("zero-based position of a fraction", _cmd_index, (
+        ("--family", {"choices": ["farey", "boolean"], "default": "boolean"}),
+        ("--m", {"type": int, "required": True}),
+        ("--frac", {"required": True, "metavar": "H/K"}),
+    )),
+    "count": ("closed-form sequence cardinality", _cmd_count, (
+        ("--family", {"choices": ["farey", "boolean"], "required": True}),
+        ("--m", {"type": int, "required": True}),
+    )),
+    "verify": ("run verification sweeps", _cmd_verify, (
+        ("--suite", {"choices": ["bijections", "identities", "partition", "oracle", "all"],
+                     "required": True}),
+        ("--max-n", {"type": int, "default": 14, "dest": "max_n"}),
+        ("--max-m", {"type": int, "default": 12, "dest": "max_m"}),
+    )),
+}
+
+
+def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
+    """The CLI parser with every verb, or with only `verb`.
+
+    A one-verb parser prints the same usage lines and errors for that verb
+    as the full one: its subcommand metavar still lists every verb.
+    """
     parser = argparse.ArgumentParser(
         prog="fareylattice",
         description="Exact Farey sequences, their subset-lattice subsequences, "
                     "and the verified bijections between them.",
     )
-    sub = parser.add_subparsers(dest="verb", required=True)
-
-    gen = sub.add_parser("gen", help="print a sequence")
-    gen.add_argument("--family", choices=["farey", "upper", "boolean"], required=True)
-    gen.add_argument("--n", type=int, required=True)
-    gen.add_argument("--m", type=int)
-    gen.add_argument("--half", choices=["left", "right"])
-    gen.add_argument("--format", choices=["plain", "json"], default="plain")
-    gen.set_defaults(func=_cmd_gen)
-
-    mp = sub.add_parser("map", help="apply a catalog map to one fraction")
-    mp.add_argument("--name", required=True, metavar="MAP",
-                    help="one of: " + ", ".join(MAP_NAMES))
-    mp.add_argument("--n", type=int, required=True)
-    mp.add_argument("--m", type=int, required=True)
-    mp.add_argument("--frac", required=True, metavar="H/K")
-    mp.set_defaults(func=_cmd_map)
-
-    nb = sub.add_parser("neighbor", help="step to an adjacent term")
-    nb.add_argument("--family", choices=["farey", "boolean"], required=True)
-    nb.add_argument("--m", type=int, required=True)
-    nb.add_argument("--frac", required=True, metavar="H/K")
-    nb.add_argument("--dir", choices=["next", "prev"], required=True)
-    nb.set_defaults(func=_cmd_neighbor)
-
-    idx = sub.add_parser("index", help="zero-based position of a fraction")
-    idx.add_argument("--family", choices=["farey", "boolean"], default="boolean")
-    idx.add_argument("--m", type=int, required=True)
-    idx.add_argument("--frac", required=True, metavar="H/K")
-    idx.set_defaults(func=_cmd_index)
-
-    cnt = sub.add_parser("count", help="closed-form sequence cardinality")
-    cnt.add_argument("--family", choices=["farey", "boolean"], required=True)
-    cnt.add_argument("--m", type=int, required=True)
-    cnt.set_defaults(func=_cmd_count)
-
-    ver = sub.add_parser("verify", help="run verification sweeps")
-    ver.add_argument("--suite", choices=["bijections", "identities", "partition",
-                                         "oracle", "all"], required=True)
-    ver.add_argument("--max-n", type=int, default=14, dest="max_n")
-    ver.add_argument("--max-m", type=int, default=12, dest="max_m")
-    ver.set_defaults(func=_cmd_verify)
+    sub = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}")
+    for name in _VERBS if verb is None else [verb]:
+        help_text, func, arguments = _VERBS[name]
+        verb_parser = sub.add_parser(name, help=help_text)
+        for flag, keywords in arguments:
+            verb_parser.add_argument(flag, **keywords)
+        verb_parser.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    verb = argv[0] if argv and argv[0] in _VERBS else None
+    args = build_parser(verb).parse_args(argv)
     try:
         rc = args.func(args, sys.stdout)
         sys.stdout.flush()

@@ -1,5 +1,14 @@
-"""Moebius function, interval totients, cardinality closed forms, and the
-binomial-sum identities carried by the interior fractions of the sequences.
+"""Moebius function, interval totients, cardinality closed forms, ranks, and
+the binomial-sum identities carried by the interior fractions of the sequences.
+
+Sizes and ranks are Moebius sums over d = 1..n of mu(d) * g(n // d): g is
+N*(N+1) for the sizes and N + sum_{q<=N} floor(q*h/k) for the rank of h/k
+in F_n, which counts the pairs p/q <= h/k with q <= N before reducing them.
+n // d takes O(sqrt(n)) values, each over a block of d, so each sum runs
+over the blocks, weighted by Mertens differences M(last d) - M(first d - 1).
+_mertens sieves mu only up to about n^(2/3) and gets M at the larger floor
+quotients of n from M(x) = 1 - sum_{d>=2} M(x // d).  The inner rank sum is
+the Euclid-like floor sum, so no count or rank builds a sequence.
 
 Every identity's left side is one pair sum over a stretch of a sequence,
 sum_f sum_s C(M, s*a) * C(M', s*b), where a and b are linear forms in the
@@ -14,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import comb, gcd, isqrt
 from operator import mul
 
@@ -134,19 +144,57 @@ def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
     return total
 
 
-def _mobius_size_sum(m: int) -> int:
-    """sum_d mu(d) * floor(m/d) * (floor(m/d) + 1), shared by both sizes."""
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
-    if m > MAX_COUNT_ORDER:
-        raise ValueError(f"order {m} exceeds the counting bound {MAX_COUNT_ORDER}")
-    mu = _mobius_sieve(m)
-    return sum(mu[d] * (m // d) * (m // d + 1) for d in range(1, m + 1) if mu[d])
+def _mertens(n: int) -> dict[int, int]:
+    """M(x) = mu(1) + ... + mu(x) at every floor quotient x = n // d of n.
+
+    mu is sieved up to about n^(2/3) and summed.  Each larger quotient x,
+    taken in ascending order, comes from M(x) = 1 - sum_{d=2}^{x} M(x // d):
+    every x // d is a smaller quotient of n, constant over blocks of d, so
+    the sum runs over O(sqrt(x)) blocks.
+    """
+    if n < 1:
+        raise ValueError(f"order must be positive, got {n}")
+    if n > MAX_COUNT_ORDER:
+        raise ValueError(f"order {n} exceeds the counting bound {MAX_COUNT_ORDER}")
+    limit = min(n, 1 << (2 * n.bit_length() // 3))
+    prefix = list(accumulate(_mobius_sieve(limit)))
+    root = isqrt(n)
+    mertens: dict[int, int] = {}
+    for x in sorted({n // d for d in range(1, root + 1)}.union(range(1, root + 1))):
+        if x <= limit:
+            mertens[x] = prefix[x]
+            continue
+        total, d = 1, 2
+        while d <= x:
+            q = x // d
+            top = x // q
+            total -= (top - d + 1) * mertens[q]
+            d = top + 1
+        mertens[x] = total
+    return mertens
+
+
+def _mobius_blocks(n: int) -> list[tuple[int, int]]:
+    """(q, w) for each value q of n // d over d = 1..n, with w the sum of
+    mu(d) over the d that give q: a Mertens difference M(top) - M(first - 1)."""
+    mertens = _mertens(n)
+    blocks, below = [], 0
+    for q in reversed(mertens):  # built ascending, so d ascends here
+        top = mertens[n // q]
+        blocks.append((q, top - below))
+        below = top
+    return blocks
+
+
+def _mobius_size_sum(blocks: list[tuple[int, int]]) -> int:
+    """sum_d mu(d) * floor(m/d) * (floor(m/d) + 1), one term per block of m,
+    shared by both sizes and the boolean rank."""
+    return sum(w * q * (q + 1) for q, w in blocks)
 
 
 def farey_size(m: int) -> int:
     """|F_m| = 1 + (1/2) sum_d mu(d) * floor(m/d) * (floor(m/d) + 1)."""
-    total = _mobius_size_sum(m)
+    total = _mobius_size_sum(_mobius_blocks(m))
     # the weighted sum is always even; fail loudly rather than truncate
     half, rem = divmod(total, 2)
     if rem:
@@ -161,7 +209,62 @@ def farey_boolean_size(m: int) -> int:
     where direct counting of (0/1, 1/2, 1/1) gives 3.  It is not computed
     from farey_size, so verify's size relation stays a real check.
     """
-    return 1 + _mobius_size_sum(m)
+    return 1 + _mobius_size_sum(_mobius_blocks(m))
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """sum_{i=0}^{n-1} (a*i + b) // m for n >= 0, m >= 1 and a, b >= 0.
+
+    The Euclid-like reduction of the AtCoder Library: take out the whole
+    parts of a/m and b/m, then count the same lattice points with the axes
+    swapped, which replaces (m, a) by (a, m % a) as Euclid does.
+    """
+    total = 0
+    while True:
+        if a >= m:
+            total += n * (n - 1) // 2 * (a // m)
+            a %= m
+        if b >= m:
+            total += n * (b // m)
+            b %= m
+        y_max = a * n + b
+        if y_max < m:
+            return total
+        n, b = divmod(y_max, m)
+        m, a = a, m
+
+
+def _rank(h: int, k: int, blocks: list[tuple[int, int]]) -> int:
+    """How many terms of F_n lie at or below h/k, less one, from n's blocks.
+
+    The pairs (p, q) with 1 <= q <= N and 0 <= p/q <= h/k number
+    N + sum_{q<=N} floor(q*h/k); each is g times a reduced pair, so Moebius
+    inversion over g = d leaves sum_d mu(d) * (that count at N = n // d).
+    """
+    return sum(w * (q + _floor_sum(q + 1, k, h, 0)) for q, w in blocks if w) - 1
+
+
+def farey_rank(h: int, k: int, n: int) -> int:
+    """Zero-based position of the term h/k of F_n, counted without building
+    F_n: O(sqrt(n)) floor sums over the blocks of d where n // d is
+    constant, each weighted by a Mertens difference.  For any h/k in [0, 1]
+    it is the number of terms at or below h/k, less one."""
+    return _rank(h, k, _mobius_blocks(n))
+
+
+def farey_boolean_rank(h: int, k: int, m: int) -> int:
+    """Zero-based position of the reduced h/k in F(B(2m), m), by counting.
+
+    At or left of 1/2 it is the rank of h/(k-h) in F_m.  Right of 1/2 the
+    complement h/k -> (k-h)/k reverses the sequence and carries the term to
+    the left half, where h/(k-h) becomes (k-h)/h: the position is
+    |F(B(2m), m)| - 1 - rank((k-h)/h), where |F(B(2m), m)| - 1 is m's
+    Moebius size sum.  Both sides read one Mertens table of m.
+    """
+    blocks = _mobius_blocks(m)
+    if 2 * h <= k:
+        return _rank(h, k - h, blocks)
+    return _mobius_size_sum(blocks) - _rank(k - h, h, blocks)
 
 
 @dataclass

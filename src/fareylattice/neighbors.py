@@ -45,9 +45,18 @@ def solve_congruence_in_range(
 
 
 def _require_term(f: Frac, family: str, m: int) -> None:
+    """Raise unless f is a term of F_m (family farey) or of F(B(2m), m).
+
+    The bounds k <= m, or h <= m and k-h <= m, are tested on (h, k)
+    directly; the descriptor is built only on failure, for its validation
+    of m and its name in the message.
+    """
+    h, k = f.h, f.k
+    member = k <= m if family == FAREY else (h <= m and k - h <= m)
+    if member:
+        return
     d = SeqDescriptor(FAREY, m) if family == FAREY else SeqDescriptor(BOOLEAN, 2 * m, m)
-    if f not in d:
-        raise ValueError(f"{f} is not a term of {d}")
+    raise ValueError(f"{f} is not a term of {d}")
 
 
 def next_in_farey(f: Frac, m: int) -> Frac:
@@ -56,7 +65,7 @@ def next_in_farey(f: Frac, m: int) -> Frac:
     if f == ONE:
         raise ValueError("1/1 has no successor")
     x0 = solve_congruence_in_range(f.h, f.k, -1, m - f.k + 1, m)
-    return Frac((f.h * x0 + 1) // f.k, x0)
+    return Frac._coprime((f.h * x0 + 1) // f.k, x0)
 
 
 def prev_in_farey(f: Frac, m: int) -> Frac:
@@ -65,11 +74,11 @@ def prev_in_farey(f: Frac, m: int) -> Frac:
     if f == ZERO:
         raise ValueError("0/1 has no predecessor")
     x0 = solve_congruence_in_range(f.h, f.k, 1, m - f.k + 1, m)
-    return Frac((f.h * x0 - 1) // f.k, x0)
+    return Frac._coprime((f.h * x0 - 1) // f.k, x0)
 
 
 def _complement(f: Frac) -> Frac:
-    return Frac(f.k - f.h, f.k)
+    return Frac._coprime(f.k - f.h, f.k)
 
 
 def _left_step(f: Frac, m: int, sign: int) -> Frac:
@@ -87,7 +96,7 @@ def _left_step(f: Frac, m: int, sign: int) -> Frac:
     den, den_r = divmod(k * x0 - sign, d)
     if num_r or den_r:
         raise ArithmeticError(f"inexact division stepping from {f} with m={m}")
-    return Frac(num, den)
+    return Frac._coprime(num, den)
 
 
 # m=1 gives the three-term sequence 0/1 < 1/2 < 1/1; the congruence windows

@@ -58,8 +58,9 @@ _FAMILIES = {
 
 # Materializing F_n costs ~0.3*n^2 terms of memory; refuse runaway orders.
 MAX_ORDER = 10_000
-# The closed-form counts sieve mu up to the order m, a list of m + 1 ints
-# (about 126 MiB at this bound); refuse orders above it.
+# The closed-form counts and the ranks (identities) sieve mu up to about
+# m^(2/3) and keep Mertens values at the ~2*sqrt(m) floor quotients of m;
+# refuse orders above this bound.
 MAX_COUNT_ORDER = 10_000_000
 
 

@@ -196,6 +196,39 @@ class TestIndexCount:
                          "--frac", "5/7")
         assert rc == 0 and out.strip() == "absent"
 
+    @pytest.mark.parametrize("family,frac", [("farey", "1/9"), ("boolean", "1/8"),
+                                             ("boolean", "2/9"), ("boolean", "7/8")])
+    def test_index_absent_in_both_families(self, capsys, family, frac):
+        rc, out, err = run(capsys, "index", "--family", family, "--m", "6", "--frac", frac)
+        assert rc == 0 and out == "absent\n" and err == ""
+
+    @pytest.mark.parametrize("m", [1, 2, 6, 17])
+    def test_index_of_every_term(self, capsys, m):
+        for family, seq in (("farey", farey(m)), ("boolean", farey_boolean(2 * m, m))):
+            for i, f in enumerate(seq):
+                rc, out, _ = run(capsys, "index", "--family", family, "--m", str(m),
+                                 "--frac", str(f))
+                assert rc == 0 and out == f"{i}\n", (family, f)
+
+    @pytest.mark.parametrize("family", ["farey", "boolean"])
+    def test_index_above_materialization_guard(self, capsys, family):
+        rc, out, err = run(capsys, "index", "--family", family, "--m", str(MAX_ORDER + 1),
+                           "--frac", "1/1")
+        want = ident.farey_size(MAX_ORDER + 1) - 1
+        assert rc == 0 and err == ""
+        assert out == f"{want if family == 'farey' else 2 * want}\n"
+
+    @pytest.mark.parametrize("family", ["farey", "boolean"])
+    @pytest.mark.parametrize("frac", ["1/3", "1/99999999"])
+    def test_index_above_counting_bound_refused(self, capsys, monkeypatch, family, frac):
+        sieved = []
+        monkeypatch.setattr(ident, "_mobius_sieve", sieved.append)
+        rc, out, err = run(capsys, "index", "--family", family,
+                           "--m", str(MAX_COUNT_ORDER + 1), "--frac", frac)
+        assert rc == 2 and out == "" and sieved == []
+        assert err == f"error: order {MAX_COUNT_ORDER + 1} exceeds the counting bound " \
+                      f"{MAX_COUNT_ORDER}\n"
+
     def test_count_boolean(self, capsys):
         rc, out, _ = run(capsys, "count", "--family", "boolean", "--m", "2")
         assert rc == 0 and out.strip() == "5"
@@ -214,11 +247,12 @@ class TestIndexCount:
                       f"{MAX_COUNT_ORDER}\n"
 
     def test_count_at_bound_sieves(self, monkeypatch):
+        # the bound lets the count through to its sieve, whatever the sieve's length
         def refuse(m):
-            raise RuntimeError(f"sieve started at {m}")
+            raise RuntimeError("sieve started")
 
         monkeypatch.setattr(ident, "_mobius_sieve", refuse)
-        with pytest.raises(RuntimeError, match=f"sieve started at {MAX_COUNT_ORDER}$"):
+        with pytest.raises(RuntimeError, match="^sieve started$"):
             ident.farey_size(MAX_COUNT_ORDER)
 
 
@@ -275,6 +309,22 @@ class TestVerify:
         rc, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "8")
         assert rc == 0 and out.splitlines()[-1].startswith("PASS")
 
+    @pytest.mark.parametrize("max_n", [7, 9])
+    def test_oracle_cap_is_noted(self, capsys, monkeypatch, max_n):
+        # a lowered bound keeps the run short; the note names the n checked and the bound
+        monkeypatch.setattr(cli.lattice, "ENUM_BOUND", 6)
+        rc, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", str(max_n))
+        assert rc == 0
+        assert err == f"note: the oracle suite checked n = 2..6 only; --max-n {max_n} " \
+                      "exceeds lattice.ENUM_BOUND = 6\n"
+        assert out.splitlines()[-2] == "PASS identity filter-cardinality n=6 m=5"
+        assert out.splitlines()[-1] == "PASS 45/45"
+
+    @pytest.mark.parametrize("argv", [[], ["--max-n", "16"]])
+    def test_oracle_within_bound_writes_no_stderr(self, capsys, argv):
+        rc, _, err = run(capsys, "verify", "--suite", "oracle", *argv)
+        assert rc == 0 and err == ""
+
     def test_identities_suite(self, capsys):
         rc, out, _ = run(capsys, "verify", "--suite", "identities",
                          "--max-n", "8", "--max-m", "6")
@@ -309,6 +359,38 @@ class TestUsage:
         with pytest.raises(SystemExit) as exc:
             main(["gen", "--family", "cantor", "--n", "5"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        [], ["-h"], ["--help"], ["bogus"], ["bogus", "--m", "3"], ["--", "gen"],
+        *([verb, "-h"] for verb in ("gen", "map", "neighbor", "index", "count", "verify")),
+        ["gen"], ["gen", "--family", "cantor", "--n", "5"],
+        ["gen", "--family", "farey", "--n", "x"],
+        ["gen", "--family", "farey", "--n", "6", "extra"],
+        ["gen", "--family", "farey", "--n", "6", "--bogus"],
+        ["map", "--name", "left-to-farey", "--n", "12"],
+        ["neighbor", "--family", "farey", "--m", "6", "--frac", "1/3", "--dir", "up"],
+        ["index", "--m", "six", "--frac", "1/3"],
+        ["index", "--m", "6", "--frac", "1/3", "more", "args"],
+        ["count", "--family", "boolean", "--m", "x7"], ["count", "--m", "5"],
+        ["verify", "--suite", "nope"], ["verify", "--suite", "all", "--max-n"],
+    ])
+    def test_one_verb_parser_matches_full_parser(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("COLUMNS", "80")
+        outcomes = []
+        for call in (lambda: main(argv), lambda: cli.build_parser().parse_args(argv)):
+            with pytest.raises(SystemExit) as exc:
+                call()
+            captured = capsys.readouterr()
+            outcomes.append((exc.value.code, captured.out, captured.err))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][1] or outcomes[0][2]
+
+    def test_one_verb_parser_registers_one_verb(self, capsys):
+        parser = cli.build_parser("count")
+        assert parser.parse_args(["count", "--family", "farey", "--m", "3"]).func is cli._cmd_count
+        with pytest.raises(SystemExit):
+            parser.parse_args(["gen", "--family", "farey", "--n", "3"])
+        assert "invalid choice: 'gen'" in capsys.readouterr().err
 
     def test_bad_fraction_text(self, capsys):
         rc, _, err = run(capsys, "neighbor", "--family", "farey", "--m", "6",

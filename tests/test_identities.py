@@ -8,9 +8,13 @@ from hypothesis import strategies as st
 from fareylattice import identities
 from fareylattice.identities import (
     _PREFIX_MAX_H,
+    _floor_sum,
+    _mertens,
     _mobius_sieve,
+    farey_boolean_rank,
     farey_boolean_size,
     farey_identities,
+    farey_rank,
     farey_size,
     filter_partition,
     interior_duality,
@@ -146,6 +150,55 @@ class TestClosedFormSizes:
     @pytest.mark.parametrize("m", range(2, 41))
     def test_boolean_is_twice_farey_minus_one(self, m):
         assert farey_boolean_size(m) == 2 * farey_size(m) - 1
+
+
+class TestMertens:
+    def test_small_orders_match_sieve_prefix(self):
+        prefix = list(accumulate(_mobius_sieve(2000)))
+        for n in range(1, 2001):
+            mertens = _mertens(n)
+            assert mertens == {x: prefix[x] for x in {n // d for d in range(1, n + 1)}}, n
+
+    def test_floor_quotients_of_large_orders(self):
+        prefix = list(accumulate(_mobius_sieve(10 ** 6)))
+        for n in (10 ** 5, 10 ** 6):
+            mertens = _mertens(n)
+            assert len(mertens) == len({n // d for d in range(1, n + 1)})
+            assert all(mertens[n // d] == prefix[n // d] for d in range(1, n + 1))
+
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rejects_nonpositive_order(self, n):
+        with pytest.raises(ValueError, match="order must be positive"):
+            _mertens(n)
+
+
+class TestFloorSum:
+    def test_matches_brute_sum(self):
+        for n in range(0, 13):
+            for m in range(1, 13):
+                for a in range(0, 27):
+                    for b in range(0, 27):
+                        assert _floor_sum(n, m, a, b) == \
+                            sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+
+
+class TestRank:
+    """Ranks by counting, against the index_of of materialized sequences."""
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 50, 300])
+    def test_farey_rank_is_materialized_index(self, n):
+        for i, f in enumerate(farey(n)):
+            assert farey_rank(f.h, f.k, n) == i, f
+
+    @pytest.mark.parametrize("m", range(1, 41))
+    def test_boolean_rank_is_materialized_index(self, m):
+        for i, f in enumerate(farey_boolean(2 * m, m)):
+            assert farey_boolean_rank(f.h, f.k, m) == i, f
+
+    def test_quarter_ratio_at_a_million(self):
+        ranks = [farey_boolean_rank(h, k, 10 ** 6) for h, k in ((1, 3), (1, 2), (2, 3), (1, 1))]
+        assert ranks == [151981776196 * j for j in (1, 2, 3, 4)]
+        assert ranks[3] == farey_boolean_size(10 ** 6) - 1
 
 
 class TestInteriorDuality:
