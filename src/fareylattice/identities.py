@@ -30,7 +30,6 @@ from operator import mul
 from .sequences import BOOLEAN, FAREY, MAX_COUNT_ORDER, SeqDescriptor, iter_pairs
 
 
-@lru_cache(maxsize=4096)
 def mobius(d: int) -> int:
     """Moebius mu(d) by trial division: 0 on a squared prime factor,
     else (-1)^(number of prime factors)."""

@@ -1,20 +1,22 @@
 """Constant-time neighbor formulas for Farey-type sequences.
 
-A term of a Farey sequence determines its neighbors through a congruence:
-for h/k in the order-m sequence, the unique x0 with h*x0 = -1 (mod k) in
-the window [m-k+1, m] gives the successor ((h*x0+1)/k) / x0, and the +1
-congruence gives the predecessor the same way.  The symmetric subsequence
-F(B(2m), m) has analogous formulas with modulus k-h on its left half; the
-right half is handled by conjugating through the order-reversing
-complement map h/k -> (k-h)/k, which swaps the two halves and exchanges
-predecessor with successor.
+Every step is one F_m step: for h/k in the order-m Farey sequence, the
+unique x0 with h*x0 = -1 (mod k) in the window [m-k+1, m] gives the
+successor ((h*x0+1)/k) / x0, and the +1 congruence gives the predecessor
+the same way.  The symmetric subsequence F(B(2m), m) splits at 1/2 into
+halves in monotone bijection with F_m.  On its left half, h/k steps as
+its F_m image h/(k-h) does, carried back by p/q -> p/(p+q); that is the
+paper's congruence with modulus k-h.  On its right half, the paper
+conjugates through the order-reversing complement h/k -> (k-h)/k, which
+swaps the halves and exchanges predecessor with successor.  m = 1 needs
+no case of its own: its windows hold the one integer 1.
 """
 
 from __future__ import annotations
 
 from math import gcd
 
-from .fracs import HALF, ONE, ZERO, Frac
+from .fracs import ONE, ZERO, Frac
 from .sequences import BOOLEAN, FAREY, SeqDescriptor
 
 
@@ -34,8 +36,6 @@ def solve_congruence_in_range(
         raise ValueError(
             f"window [{lo}, {hi}] holds {hi - lo + 1} integers, expected {modulus}"
         )
-    if modulus == 1:
-        return lo
     g = gcd(h, modulus)
     if g != 1:
         raise ValueError(f"no solution: gcd({h}, {modulus}) = {g} > 1")
@@ -59,13 +59,38 @@ def _require_term(f: Frac, family: str, m: int) -> None:
     raise ValueError(f"{f} is not a term of {d}")
 
 
+def _farey_step(h: int, k: int, m: int, sign: int) -> tuple[int, int]:
+    """One step from h/k inside F_m: sign -1 forward, +1 back.
+
+    Solves h*x0 = sign (mod k) in [m-k+1, m] and returns the neighbor as
+    the pair ((h*x0 - sign)/k, x0).  The division is exact precisely
+    because x0 solves the congruence, so exactness is re-checked on every
+    call as a guard on the solver.
+    """
+    x0 = solve_congruence_in_range(h, k, sign, m - k + 1, m)
+    p, r = divmod(h * x0 - sign, k)
+    if r:
+        raise ArithmeticError(f"inexact division stepping from {h}/{k} with m={m}")
+    return p, x0
+
+
+def _boolean_step(f: Frac, m: int, sign: int, left: bool) -> Frac:
+    """One step from f inside F(B(2m), m), by an F_m step of its half's image."""
+    h, k = f.h, f.k
+    if left:
+        p, q = _farey_step(h, k - h, m, sign)
+        return Frac._coprime(p, p + q)
+    # the complement (k-h)/k steps the other way on the left; complement back
+    p, q = _farey_step(k - h, h, m, -sign)
+    return Frac._coprime(q, p + q)
+
+
 def next_in_farey(f: Frac, m: int) -> Frac:
     """Immediate successor of f in the Farey sequence of order m."""
     _require_term(f, FAREY, m)
     if f == ONE:
         raise ValueError("1/1 has no successor")
-    x0 = solve_congruence_in_range(f.h, f.k, -1, m - f.k + 1, m)
-    return Frac._coprime((f.h * x0 + 1) // f.k, x0)
+    return Frac._coprime(*_farey_step(f.h, f.k, m, -1))
 
 
 def prev_in_farey(f: Frac, m: int) -> Frac:
@@ -73,35 +98,7 @@ def prev_in_farey(f: Frac, m: int) -> Frac:
     _require_term(f, FAREY, m)
     if f == ZERO:
         raise ValueError("0/1 has no predecessor")
-    x0 = solve_congruence_in_range(f.h, f.k, 1, m - f.k + 1, m)
-    return Frac._coprime((f.h * x0 - 1) // f.k, x0)
-
-
-def _complement(f: Frac) -> Frac:
-    return Frac._coprime(f.k - f.h, f.k)
-
-
-def _left_step(f: Frac, m: int, sign: int) -> Frac:
-    """One step from f <= 1/2 inside F(B(2m), m): sign -1 forward, +1 back.
-
-    Solves h*x0 = sign (mod k-h) in [m-k+h+1, m] and returns the pair
-    ((h*x0 - sign)/(k-h), (k*x0 - sign)/(k-h)).  Both divisions are exact
-    precisely because x0 solves the congruence, so exactness is re-checked
-    on every call as a guard on the solver.
-    """
-    h, k = f.h, f.k
-    d = k - h
-    x0 = solve_congruence_in_range(h, d, sign, m - d + 1, m)
-    num, num_r = divmod(h * x0 - sign, d)
-    den, den_r = divmod(k * x0 - sign, d)
-    if num_r or den_r:
-        raise ArithmeticError(f"inexact division stepping from {f} with m={m}")
-    return Frac._coprime(num, den)
-
-
-# m=1 gives the three-term sequence 0/1 < 1/2 < 1/1; the congruence windows
-# are stated only for m > 1, so step by direct lookup there.
-_BOOLEAN_M1 = (ZERO, HALF, ONE)
+    return Frac._coprime(*_farey_step(f.h, f.k, m, 1))
 
 
 def succ_in_boolean(f: Frac, m: int) -> Frac:
@@ -109,12 +106,7 @@ def succ_in_boolean(f: Frac, m: int) -> Frac:
     _require_term(f, BOOLEAN, m)
     if f == ONE:
         raise ValueError("1/1 has no successor")
-    if m == 1:
-        return _BOOLEAN_M1[_BOOLEAN_M1.index(f) + 1]
-    if f < HALF:
-        return _left_step(f, m, -1)
-    # at or right of 1/2: conjugate, step backward on the left, conjugate back
-    return _complement(_left_step(_complement(f), m, 1))
+    return _boolean_step(f, m, -1, 2 * f.h < f.k)
 
 
 def pred_in_boolean(f: Frac, m: int) -> Frac:
@@ -122,8 +114,4 @@ def pred_in_boolean(f: Frac, m: int) -> Frac:
     _require_term(f, BOOLEAN, m)
     if f == ZERO:
         raise ValueError("0/1 has no predecessor")
-    if m == 1:
-        return _BOOLEAN_M1[_BOOLEAN_M1.index(f) - 1]
-    if f <= HALF:
-        return _left_step(f, m, 1)
-    return _complement(_left_step(_complement(f), m, -1))
+    return _boolean_step(f, m, 1, 2 * f.h <= f.k)

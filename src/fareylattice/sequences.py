@@ -108,7 +108,7 @@ class SeqDescriptor:
         h, k = f.h, f.k
         if h0 * k > h * k0 or h * k1 > h1 * k:
             return False
-        # a plain loop: neighbor stepping runs this test on every call
+        # callers: the CLI's map and index verbs and catalog's _mismatch
         for u, v, w in bounds(self.n, self.m):
             if u * h + v * k > w:
                 return False

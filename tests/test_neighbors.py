@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fareylattice import neighbors
 from fareylattice.fracs import Frac
 from fareylattice.neighbors import (
     next_in_farey,
@@ -162,9 +163,41 @@ class TestBooleanStepping:
         assert pred_in_boolean(succ_in_boolean(f, m), m) == f
 
 
+class TestStepGuard:
+    """A solver that returns a window value other than the solution makes
+    the step's division inexact, and every step then raises."""
+
+    @pytest.fixture
+    def wrong_solver(self, monkeypatch):
+        def wrong(h, modulus, residue_sign, lo, hi):
+            x0 = solve_congruence_in_range(h, modulus, residue_sign, lo, hi)
+            return lo + (x0 - lo + 1) % modulus
+
+        monkeypatch.setattr(neighbors, "solve_congruence_in_range", wrong)
+
+    def test_farey_step(self, wrong_solver):
+        # the solution of 2*x0 = -1 (mod 5) in [2, 6] is 2; the fake returns 3
+        with pytest.raises(ArithmeticError, match="inexact division stepping from 2/5 with m=6"):
+            next_in_farey(Frac(2, 5), 6)
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            prev_in_farey(Frac(2, 5), 6)
+
+    def test_left_half_boolean_step(self, wrong_solver):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            succ_in_boolean(Frac(2, 5), 6)
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            pred_in_boolean(Frac(2, 5), 6)
+
+    def test_right_half_boolean_step(self, wrong_solver):
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            succ_in_boolean(Frac(2, 3), 6)
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            pred_in_boolean(Frac(2, 3), 6)
+
+
 class TestDegenerateOrder:
-    """m = 1 steps through (0/1, 1/2, 1/1) by lookup; the congruence
-    windows are only stated for m > 1."""
+    """m = 1 steps through (0/1, 1/2, 1/1) by the general formulas: every
+    window is [1, 1], so every congruence has the solution 1."""
 
     def test_walk(self):
         assert succ_in_boolean(Frac(0, 1), 1) == Frac(1, 2)
