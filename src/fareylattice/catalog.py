@@ -20,12 +20,14 @@ _MAPS, from which catalog() builds its descriptors.  Each map is checked two
 ways: extensionally, by mapping every (h, k) pair iter_pairs generates for
 the domain and comparing the images, in order, with the codomain's pairs,
 and intensionally, through determinant, involution, and inverse-pair
-identities on the matrices themselves.
+identities on the matrices themselves.  Descriptors, counterexamples and
+reports are named tuples: verify_map gathers its checks first and then
+builds the one report it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .fracs import Frac, UnimodularMap
 from .identities import farey_boolean_rank
@@ -95,8 +97,7 @@ _MAPS = {
 }
 
 
-@dataclass(frozen=True)
-class MapDescriptor:
+class MapDescriptor(NamedTuple):
     """One catalog entry: a named matrix with its domain, codomain, direction."""
 
     name: str
@@ -108,8 +109,7 @@ class MapDescriptor:
     inverse_of: str | None = None
 
 
-@dataclass(frozen=True)
-class Counterexample:
+class Counterexample(NamedTuple):
     source: Frac | None
     image: Frac | None
     reason: str
@@ -120,14 +120,13 @@ class Counterexample:
         return f"input={src} image={img}: {self.reason}"
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     """Outcome of checking one catalog map at one parameter choice."""
 
     name: str
     n: int
     m: int
-    checks: list[tuple[str, bool]] = field(default_factory=list)
+    checks: list[tuple[str, bool]]
     counterexample: Counterexample | None = None
 
     @property
@@ -173,7 +172,7 @@ def _context_params(d: MapDescriptor) -> tuple[int, int]:
     # map's own endpoints are standard Farey sequences of order m
     for desc in (d.domain, d.codomain):
         if desc.family != FAREY:
-            return desc.n, desc.m or 0
+            return desc.n, desc.m
     return 2 * d.domain.n, d.domain.n
 
 
@@ -216,15 +215,12 @@ def verify_map(d: MapDescriptor) -> VerificationReport:
     Failures are reported, never raised; an order above MAX_ORDER raises
     ValueError.
     """
-    report = VerificationReport(d.name, *_context_params(d))
-
+    n, m = _context_params(d)
     det_ok = abs(d.matrix.det) == 1
-    report.checks.append(("determinant", det_ok))
+    checks = [("determinant", det_ok)]
     if not det_ok:
-        report.counterexample = Counterexample(
-            None, None, f"matrix {d.matrix} has determinant {d.matrix.det}"
-        )
-        return report
+        return VerificationReport(d.name, n, m, checks, Counterexample(
+            None, None, f"matrix {d.matrix} has determinant {d.matrix.det}"))
 
     for desc in (d.domain, d.codomain):
         if desc.n > MAX_ORDER:
@@ -236,19 +232,19 @@ def verify_map(d: MapDescriptor) -> VerificationReport:
     if d.direction != PRESERVING:
         expected.reverse()
     if images != expected:
-        failed, report.counterexample = _mismatch(d, images, expected)
-        report.checks += failed
-        return report
-    report.checks += [("image-set", True), ("direction", True)]
+        failed, counterexample = _mismatch(d, images, expected)
+        return VerificationReport(d.name, n, m, checks + failed, counterexample)
+    checks += [("image-set", True), ("direction", True)]
 
     if d.involution:
-        report.checks.append(("involution", d.matrix.is_involution()))
+        checks.append(("involution", d.matrix.is_involution()))
     if d.inverse_of is not None:
         partner = _mat(d.inverse_of)
-        report.checks.append(("inverse-pair", (partner @ d.matrix)._is_plus_minus_identity()))
-    if not report.passed and report.counterexample is None:
-        report.counterexample = Counterexample(None, None, "matrix identity check failed")
-    return report
+        checks.append(("inverse-pair", (partner @ d.matrix)._is_plus_minus_identity()))
+    if all(ok for _, ok in checks):
+        return VerificationReport(d.name, n, m, checks)
+    return VerificationReport(d.name, n, m, checks,
+                              Counterexample(None, None, "matrix identity check failed"))
 
 
 def verify_catalog(n: int, m: int) -> list[VerificationReport]:

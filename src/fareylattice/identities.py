@@ -21,7 +21,6 @@ floating point is allowed anywhere in this module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from math import comb, gcd, isqrt
@@ -266,14 +265,17 @@ def farey_boolean_rank(h: int, k: int, m: int) -> int:
     return _mobius_size_sum(blocks) - _rank(k - h, h, blocks)
 
 
-@dataclass
 class IdentityReport:
     """LHS sums, the RHS closed form, and whether every LHS matched."""
 
-    name: str
-    params: dict[str, int]
-    lhs: list[int]
-    rhs: int
+    __slots__ = ("name", "params", "lhs", "rhs")
+
+    def __init__(self, name: str, params: dict[str, int], lhs: list[int], rhs: int) -> None:
+        self.name, self.params, self.lhs, self.rhs = name, params, lhs, rhs
+
+    def __repr__(self) -> str:
+        return (f"IdentityReport(name={self.name!r}, params={self.params!r}, "
+                f"lhs={self.lhs!r}, rhs={self.rhs!r})")
 
     @property
     def passed(self) -> bool:

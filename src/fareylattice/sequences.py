@@ -17,14 +17,15 @@ and Patashnik, Concrete Mathematics, section 4.5): after consecutive terms
 a/b < c/d comes (t*c - a)/(t*d - b), for the largest t that keeps it inside
 every bound.  Consecutive pairs satisfy c*b - a*d = 1, so every pair is
 already reduced; iter_terms wraps them as Frac without a gcd, and the CLI
-formats them straight from the ints.  `f in descriptor` tests the bounds
-directly.  materialize holds a sequence as an immutable tuple.
+formats them straight from the ints.  A SeqDescriptor names a sequence as
+the named tuple (family, n, m), checked when built; `f in descriptor` tests
+the bounds directly.  materialize holds a sequence as an immutable tuple.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterator
 
 from .fracs import Frac
@@ -64,31 +65,26 @@ MAX_ORDER = 10_000
 MAX_COUNT_ORDER = 10_000_000
 
 
-@dataclass(frozen=True)
-class SeqDescriptor:
+class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(None,))):
     """Which sequence this is: family plus its order n and parameter m."""
 
-    family: str
-    n: int
-    m: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-        if self.n < 1:
-            raise ValueError(f"order must be positive, got n={self.n}")
-        if self.family == FAREY:
-            if self.m is not None:
+    def __new__(cls, family: str, n: int, m: int | None = None) -> SeqDescriptor:
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown family {family!r}")
+        if n < 1:
+            raise ValueError(f"order must be positive, got n={n}")
+        if family == FAREY:
+            if m is not None:
                 raise ValueError("farey takes no parameter m")
-            return
-        if self.m is None:
-            raise ValueError(f"{self.family} requires parameter m")
-        if not 0 < self.m < self.n:
-            raise ValueError(f"need 0 < m < n, got m={self.m}, n={self.n}")
-        if self.family in (LEFT_HALF, RIGHT_HALF) and self.n != 2 * self.m:
-            raise ValueError(
-                f"halfsequences exist only for n = 2m, got n={self.n}, m={self.m}"
-            )
+        elif m is None:
+            raise ValueError(f"{family} requires parameter m")
+        elif not 0 < m < n:
+            raise ValueError(f"need 0 < m < n, got m={m}, n={n}")
+        elif family in (LEFT_HALF, RIGHT_HALF) and n != 2 * m:
+            raise ValueError(f"halfsequences exist only for n = 2m, got n={n}, m={m}")
+        return super().__new__(cls, family, n, m)
 
     @property
     def is_symmetric_boolean(self) -> bool:

@@ -30,6 +30,7 @@ from fareylattice.sequences import (
     FAREY,
     LEFT_HALF,
     MAX_ORDER,
+    RIGHT_HALF,
     SeqDescriptor,
     farey,
     farey_boolean,
@@ -157,6 +158,46 @@ class TestVerifyMap:
     def test_order_above_guard_raises(self):
         with pytest.raises(ValueError, match=f"exceeds the materialization guard {MAX_ORDER}"):
             verify_map(catalog(MAX_ORDER + 1, 1)[0])
+
+
+class TestRecords:
+    def test_map_descriptor_is_read_only(self):
+        d = catalog(12, 6)[0]
+        with pytest.raises(AttributeError):
+            d.direction = PRESERVING
+        assert d.direction == REVERSING
+
+    def test_counterexample_is_read_only(self):
+        c = Counterexample(Frac(1, 3), None, "reason")
+        with pytest.raises(AttributeError):
+            c.reason = "other"
+        assert c.reason == "reason"
+
+    def test_verification_report_is_read_only(self):
+        report = verify_map(catalog(12, 6)[0])
+        with pytest.raises(AttributeError):
+            report.counterexample = Counterexample(None, None, "patched")
+        assert report.counterexample is None
+
+    @pytest.mark.parametrize("d", catalog(12, 6))
+    def test_checks_are_a_list(self, d):
+        assert type(verify_map(d).checks) is list
+
+    @pytest.mark.parametrize("d, failed", [
+        # maps every term to the right one but is flagged as an involution
+        (MapDescriptor(LEFT_TO_RIGHT, UnimodularMap(*MATRICES[LEFT_TO_RIGHT]),
+                       SeqDescriptor(LEFT_HALF, 12, 6), SeqDescriptor(RIGHT_HALF, 12, 6),
+                       PRESERVING, involution=True), ("involution", False)),
+        # the identity, named as undone by left-flip
+        (MapDescriptor(LEFT_FLIP, UnimodularMap(1, 0, 0, 1), SeqDescriptor(LEFT_HALF, 12, 6),
+                       SeqDescriptor(LEFT_HALF, 12, 6), PRESERVING, inverse_of=LEFT_FLIP),
+         ("inverse-pair", False)),
+    ])
+    def test_failed_matrix_identity_has_counterexample(self, d, failed):
+        report = verify_map(d)
+        assert report.checks == [("determinant", True), ("image-set", True),
+                                 ("direction", True), failed]
+        assert report.counterexample == Counterexample(None, None, "matrix identity check failed")
 
 
 class TestMatrixStructure:

@@ -462,3 +462,21 @@ class TestBrokenPipe:
         assert rc == 0
         assert proc.stderr.read() == b""
         proc.stderr.close()
+
+
+class TestImportGraph:
+    def test_cli_startup_needs_no_dataclasses_or_inspect(self):
+        # a bare interpreter started the same way sets the baseline
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = ("import sys\n{}\n"
+                 "print(*(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+
+        def loaded(code):
+            return set(subprocess.run([sys.executable, "-c", probe.format(code)], env=env,
+                                      capture_output=True, text=True, check=True,
+                                      timeout=60).stdout.split())
+
+        bare = loaded("pass")
+        assert loaded("from fareylattice.cli import build_parser\nbuild_parser()") <= bare

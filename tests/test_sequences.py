@@ -1,3 +1,4 @@
+import pickle
 from math import gcd
 
 import pytest
@@ -239,6 +240,29 @@ class TestDescriptors:
     def test_symmetric_flag(self):
         assert SeqDescriptor(BOOLEAN, 8, 4).is_symmetric_boolean
         assert not SeqDescriptor(BOOLEAN, 9, 4).is_symmetric_boolean
+
+
+class TestDescriptorRecord:
+    def test_fields_are_read_only(self):
+        d = SeqDescriptor(BOOLEAN, 12, 6)
+        with pytest.raises(AttributeError):
+            d.n = 13
+        assert d.n == 12
+
+    def test_equal_descriptors_hash_equal(self):
+        a, b = SeqDescriptor(BOOLEAN, 12, 6), SeqDescriptor(BOOLEAN, n=12, m=6)
+        assert a == b and hash(a) == hash(b)
+        assert SeqDescriptor(FAREY, 6) == SeqDescriptor(FAREY, 6, None)
+        assert a != SeqDescriptor(BOOLEAN, 12, 5)
+
+    def test_repr(self):
+        assert repr(SeqDescriptor(BOOLEAN, 12, 6)) == "SeqDescriptor(family='boolean', n=12, m=6)"
+        assert repr(SeqDescriptor(FAREY, 6)) == "SeqDescriptor(family='farey', n=6, m=None)"
+
+    @pytest.mark.parametrize("d", [SeqDescriptor(FAREY, 6), SeqDescriptor(BOOLEAN, 12, 6),
+                                   SeqDescriptor(LEFT_HALF, 12, 6)])
+    def test_pickle_round_trip(self, d):
+        assert pickle.loads(pickle.dumps(d)) == d
 
 
 class TestFareySeqInvariants:
