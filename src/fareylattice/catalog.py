@@ -20,9 +20,11 @@ _MAPS, from which catalog() builds its descriptors.  Each map is checked two
 ways: extensionally, by mapping every (h, k) pair iter_pairs generates for
 the domain and comparing the images, in order, with the codomain's pairs,
 and intensionally, through determinant, involution, and inverse-pair
-identities on the matrices themselves.  Descriptors, counterexamples and
-reports are named tuples: verify_map gathers its checks first and then
-builds the one report it returns.
+identities on the matrices themselves.  verify_catalog generates each
+endpoint once per call and shares its pair list, read-only, among the maps
+that read it.  Descriptors, counterexamples and reports are named tuples:
+verify_map gathers its checks first and then builds the one report it
+returns.
 """
 
 from __future__ import annotations
@@ -176,7 +178,8 @@ def _context_params(d: MapDescriptor) -> tuple[int, int]:
     return 2 * d.domain.n, d.domain.n
 
 
-def _mismatch(d: MapDescriptor, images: list[tuple[int, int]],
+def _mismatch(d: MapDescriptor, domain_pairs: list[tuple[int, int]],
+              codomain_pairs: list[tuple[int, int]], images: list[tuple[int, int]],
               expected: list[tuple[int, int]]) -> tuple[list[tuple[str, bool]], Counterexample]:
     """The failed checks and a counterexample when the images are not `expected`.
 
@@ -184,7 +187,7 @@ def _mismatch(d: MapDescriptor, images: list[tuple[int, int]],
     the first codomain term with no preimage, and only when the image set is
     the codomain, the first index out of the map's direction.
     """
-    domain = [Frac._coprime(h, k) for h, k in iter_pairs(d.domain)]
+    domain = [Frac._coprime(h, k) for h, k in domain_pairs]
     for f in domain:
         try:
             d.matrix.apply(f)
@@ -195,7 +198,7 @@ def _mismatch(d: MapDescriptor, images: list[tuple[int, int]],
         if g not in d.codomain:
             return [("image-set", False)], Counterexample(f, g, "image is not a codomain term")
     image_set = set(images)
-    for h, k in iter_pairs(d.codomain):
+    for h, k in codomain_pairs:
         if (h, k) not in image_set:
             return ([("image-set", False)],
                     Counterexample(None, Frac._coprime(h, k), "codomain term has no preimage"))
@@ -206,15 +209,10 @@ def _mismatch(d: MapDescriptor, images: list[tuple[int, int]],
             Counterexample(domain[i], Frac._coprime(*images[i]), reason))
 
 
-def verify_map(d: MapDescriptor) -> VerificationReport:
-    """Run every applicable check on one catalog map.
-
-    Both endpoints come from iter_pairs, never through a catalog map.  The
-    images of the domain's pairs, taken in order, must equal the codomain's
-    pairs in the map's direction; _mismatch classifies any difference.
-    Failures are reported, never raised; an order above MAX_ORDER raises
-    ValueError.
-    """
+def _verify(d: MapDescriptor,
+            walked: dict[SeqDescriptor, list[tuple[int, int]]]) -> VerificationReport:
+    """verify_map, reading each endpoint's pairs from `walked` and adding
+    the ones it lacks; it never modifies a list it holds."""
     n, m = _context_params(d)
     det_ok = abs(d.matrix.det) == 1
     checks = [("determinant", det_ok)]
@@ -225,14 +223,16 @@ def verify_map(d: MapDescriptor) -> VerificationReport:
     for desc in (d.domain, d.codomain):
         if desc.n > MAX_ORDER:
             raise ValueError(f"order {desc.n} exceeds the materialization guard {MAX_ORDER}")
+    for desc in (d.domain, d.codomain):
+        if desc not in walked:
+            walked[desc] = list(iter_pairs(desc))
+    domain, codomain = walked[d.domain], walked[d.codomain]
 
     a, b, c, e = d.matrix.entries()  # [[a, b], [c, e]]
-    images = [(a * h + b * k, c * h + e * k) for h, k in iter_pairs(d.domain)]
-    expected = list(iter_pairs(d.codomain))
-    if d.direction != PRESERVING:
-        expected.reverse()
+    images = [(a * h + b * k, c * h + e * k) for h, k in domain]
+    expected = codomain if d.direction == PRESERVING else codomain[::-1]
     if images != expected:
-        failed, counterexample = _mismatch(d, images, expected)
+        failed, counterexample = _mismatch(d, domain, codomain, images, expected)
         return VerificationReport(d.name, n, m, checks + failed, counterexample)
     checks += [("image-set", True), ("direction", True)]
 
@@ -247,9 +247,28 @@ def verify_map(d: MapDescriptor) -> VerificationReport:
                               Counterexample(None, None, "matrix identity check failed"))
 
 
+def verify_map(d: MapDescriptor) -> VerificationReport:
+    """Run every applicable check on one catalog map.
+
+    Both endpoints come from iter_pairs, never through a catalog map.  The
+    images of the domain's pairs, taken in order, must equal the codomain's
+    pairs in the map's direction; _mismatch classifies any difference.
+    Failures are reported, never raised; an order above MAX_ORDER raises
+    ValueError.
+    """
+    return _verify(d, {})
+
+
 def verify_catalog(n: int, m: int) -> list[VerificationReport]:
-    """Verify every catalog map for (n, m), each from freshly generated pairs."""
-    return [verify_map(d) for d in catalog(n, m)]
+    """Verify every catalog map for (n, m), as verify_map does.
+
+    Each endpoint is generated once per call: the eleven maps of the
+    symmetric case read only four sequences, boolean(2m, m), its two halves
+    and farey(m), and their pair lists are shared by every map that reads
+    them, within this call only.
+    """
+    walked: dict[SeqDescriptor, list[tuple[int, int]]] = {}
+    return [_verify(d, walked) for d in catalog(n, m)]
 
 
 def matrix_coherence_checks() -> list[tuple[str, bool]]:

@@ -15,11 +15,16 @@ Generation and membership both read that table.  iter_pairs streams the
 terms as (h, k) int pairs by the bounded next-term recurrence (Graham, Knuth
 and Patashnik, Concrete Mathematics, section 4.5): after consecutive terms
 a/b < c/d comes (t*c - a)/(t*d - b), for the largest t that keeps it inside
-every bound.  Consecutive pairs satisfy c*b - a*d = 1, so every pair is
-already reduced; iter_terms wraps them as Frac without a gcd, and the CLI
-formats them straight from the ints.  A SeqDescriptor names a sequence as
-the named tuple (family, n, m), checked when built; `f in descriptor` tests
-the bounds directly.  materialize holds a sequence as an immutable tuple.
+every bound, the minimum of (w + x0) // x1 over the bounds with x1 > 0,
+where x0 = u*a + v*b and x1 = u*c + v*d.  A bound's form is linear, so it
+follows the same recurrence as the terms, x2 = t*x1 - x0; iter_pairs carries
+each bound's (x0, x1) along and never multiplies by a coefficient.  Every
+family has one or two bounds, and each count has its own loop.  Consecutive
+pairs satisfy c*b - a*d = 1, so every pair is already reduced; iter_terms
+wraps them as Frac without a gcd, and the CLI formats them straight from
+the ints.  A SeqDescriptor names a sequence as the named tuple (family, n,
+m), checked when built; `f in descriptor` tests the bounds directly.
+materialize holds a sequence as an immutable tuple.
 """
 
 from __future__ import annotations
@@ -165,28 +170,72 @@ class FareySeq:
         return f"FareySeq({self.descriptor}, {len(self.terms)} terms)"
 
 
+# The walks: a bounded sequence has some bound with x1 > 0 at every term
+# but its last, else t would have no limit.  The loop tests k1 first: it
+# equals k_last only at the last term and, for 0/1 .. 1/1, at the first.
+
+
+def _walk_one(bounds: tuple[tuple[int, int, int], ...],
+              stretch: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
+    ((u, v, w),) = bounds
+    (h0, k0), (h1, k1), (h_last, k_last) = stretch
+    x0, x1 = u * h0 + v * k0, u * h1 + v * k1
+    yield h1, k1
+    while k1 != k_last or h1 != h_last:
+        t = (w + x0) // x1  # the one bound: x1 > 0
+        h0, h1 = h1, t * h1 - h0
+        k0, k1 = k1, t * k1 - k0
+        x0, x1 = x1, t * x1 - x0
+        yield h1, k1
+
+
+def _walk_two(bounds: tuple[tuple[int, int, int], ...],
+              stretch: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
+    (u, v, w), (p, q, r) = bounds
+    (h0, k0), (h1, k1), (h_last, k_last) = stretch
+    x0, x1 = u * h0 + v * k0, u * h1 + v * k1
+    y0, y1 = p * h0 + q * k0, p * h1 + q * k1
+    yield h1, k1
+    while k1 != k_last or h1 != h_last:
+        if x1 > 0:
+            t = (w + x0) // x1
+            if y1 > 0:
+                s = (r + y0) // y1
+                if s < t:
+                    t = s
+        else:
+            t = (r + y0) // y1
+        h0, h1 = h1, t * h1 - h0
+        k0, k1 = k1, t * k1 - k0
+        x0, x1 = x1, t * x1 - x0
+        y0, y1 = y1, t * y1 - y0
+        yield h1, k1
+
+
+# a walk per number of bounds; every _FAMILIES row has one or two
+_WALKS = {1: _walk_one, 2: _walk_two}
+
+
 def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
     """Terms of the sequence d names, ascending, as coprime (h, k) int pairs.
 
     From consecutive terms h0/k0 < h1/k1 the next is (t*h1 - h0)/(t*k1 - k0)
     for the largest t that keeps it inside every bound: the minimum of
-    (w + u*h0 + v*k0) // (u*h1 + v*k1) over the bounds with u*h1 + v*k1 > 0.
-    The other bounds only loosen as t grows.  Each step keeps
+    (w + x0) // x1 over the bounds with x1 > 0, where x0 = u*h0 + v*k0 and
+    x1 = u*h1 + v*k1 are the bound's form at the two terms.  The other
+    bounds only loosen as t grows.  The form is linear, so its value at the
+    next term is t*x1 - x0: each bound's pair (x0, x1) is carried through
+    the same recurrence as the terms, and no step multiplies by a
+    coefficient.  Every family has one or two bounds, and each count has
+    its own loop; any other count raises ValueError.  Each step keeps
     h1*k0 - h0*k1 = 1, so every pair is coprime without a gcd.
     """
     bounds = d.bounds
-    (h0, k0), (h1, k1), (h_last, k_last) = _FAMILIES[d.family][1]
-    yield h1, k1
-    while h1 != h_last or k1 != k_last:
-        t = 0  # no candidate yet; every candidate is at least 1
-        for u, v, w in bounds:
-            s = u * h1 + v * k1
-            if s > 0:
-                q = (w + u * h0 + v * k0) // s
-                if not t or q < t:
-                    t = q
-        h0, k0, h1, k1 = h1, k1, t * h1 - h0, t * k1 - k0
-        yield h1, k1
+    walk = _WALKS.get(len(bounds))
+    if walk is None:
+        raise ValueError(f"family {d.family!r} has {len(bounds)} bounds; "
+                         f"iter_pairs walks one or two")
+    return walk(bounds, _FAMILIES[d.family][1])
 
 
 def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:

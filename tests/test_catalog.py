@@ -1,3 +1,5 @@
+from importlib import import_module
+
 import pytest
 
 from fareylattice.catalog import (
@@ -36,6 +38,9 @@ from fareylattice.sequences import (
     farey_boolean,
     right_half,
 )
+
+# the module itself; the package's `catalog` attribute is the function
+catalog_module = import_module("fareylattice.catalog")
 
 
 class TestCatalogContents:
@@ -158,6 +163,30 @@ class TestVerifyMap:
     def test_order_above_guard_raises(self):
         with pytest.raises(ValueError, match=f"exceeds the materialization guard {MAX_ORDER}"):
             verify_map(catalog(MAX_ORDER + 1, 1)[0])
+
+
+class TestSharedEndpoints:
+    """verify_catalog generates each endpoint once per call and shares it;
+    its reports must be the ones verify_map gives map by map."""
+
+    @pytest.mark.parametrize("n, m, endpoints", [
+        (12, 6, [SeqDescriptor(BOOLEAN, 12, 6), SeqDescriptor(LEFT_HALF, 12, 6),
+                 SeqDescriptor(RIGHT_HALF, 12, 6), SeqDescriptor(FAREY, 6)]),
+        (2, 1, [SeqDescriptor(BOOLEAN, 2, 1), SeqDescriptor(LEFT_HALF, 2, 1),
+                SeqDescriptor(RIGHT_HALF, 2, 1), SeqDescriptor(FAREY, 1)]),
+        (12, 5, [SeqDescriptor(BOOLEAN, 12, 5), SeqDescriptor(BOOLEAN, 12, 7)]),
+    ])
+    def test_each_endpoint_generated_once(self, monkeypatch, n, m, endpoints):
+        walked = []
+        pairs = catalog_module.iter_pairs
+        monkeypatch.setattr(catalog_module, "iter_pairs",
+                            lambda d: walked.append(d) or pairs(d))
+        assert all(r.passed for r in verify_catalog(n, m))
+        assert sorted(walked) == sorted(endpoints)
+
+    @pytest.mark.parametrize("n, m", [(2, 1), (4, 2), (12, 6), (30, 15), (12, 5), (9, 1)])
+    def test_reports_match_verify_map(self, n, m):
+        assert verify_catalog(n, m) == [verify_map(d) for d in catalog(n, m)]
 
 
 class TestRecords:

@@ -1,4 +1,5 @@
 import pickle
+from itertools import islice
 from math import gcd
 
 import pytest
@@ -13,6 +14,7 @@ from fareylattice.sequences import (
     UPPER,
     FareySeq,
     SeqDescriptor,
+    _FAMILIES,
     farey,
     farey_boolean,
     iter_pairs,
@@ -173,6 +175,53 @@ class TestOneDefinition:
     def test_streaming_needs_no_materialization_guard(self):
         terms = iter_terms(SeqDescriptor(FAREY, MAX_ORDER + 1))
         assert [next(terms), next(terms)] == [Frac(0, 1), Frac(1, MAX_ORDER + 1)]
+
+
+class TestWalks:
+    """iter_pairs walks a one-bound and a two-bound row with its own loop.
+    Checked against the brute-force oracles at orders past TestOneDefinition's,
+    for every m: m = 1 and m = n - 1, the first step from 0/1, where the
+    h-form is 0, and at n = 128 both halves."""
+
+    @staticmethod
+    def assert_walks(d, expected):
+        # one pair past the oracle's length, so a walk that misses its last
+        # term fails instead of running on
+        assert list(islice(iter_pairs(d), len(expected) + 1)) == expected, d
+
+    @pytest.mark.parametrize("n", [64, 101, 128])
+    def test_every_m_matches_oracles(self, n):
+        self.assert_walks(SeqDescriptor(FAREY, n), brute_farey(n))
+        for m in range(1, n):
+            self.assert_walks(SeqDescriptor(UPPER, n, m), brute_upper(n, m))
+            boolean = brute_boolean(n, m)
+            self.assert_walks(SeqDescriptor(BOOLEAN, n, m), boolean)
+            if n == 2 * m:
+                self.assert_walks(SeqDescriptor(LEFT_HALF, n, m),
+                                  [(h, k) for h, k in boolean if 2 * h <= k])
+                self.assert_walks(SeqDescriptor(RIGHT_HALF, n, m),
+                                  [(h, k) for h, k in boolean if 2 * h >= k])
+
+    @pytest.mark.parametrize("family", sorted(_FAMILIES))
+    def test_every_row_has_one_or_two_bounds(self, family):
+        bounds, _ = _FAMILIES[family]
+        assert len(bounds(12, 6)) in (1, 2)
+
+    @pytest.mark.parametrize("count", [0, 3])
+    def test_other_bound_counts_raise(self, monkeypatch, count):
+        _, stretch = _FAMILIES[FAREY]
+        rows = ((0, 1, 5), (1, 0, 5), (-1, 1, 5))
+        monkeypatch.setitem(_FAMILIES, FAREY, (lambda n, m: rows[:count], stretch))
+        with pytest.raises(ValueError, match=f"family 'farey' has {count} bounds"):
+            iter_pairs(SeqDescriptor(FAREY, 5))
+
+    def test_bounds_read_once_per_call(self, monkeypatch):
+        bounds, stretch = _FAMILIES[UPPER]
+        reads = []
+        monkeypatch.setitem(_FAMILIES, UPPER,
+                            (lambda n, m: reads.append(n) or bounds(n, m), stretch))
+        assert list(iter_pairs(SeqDescriptor(UPPER, 30, 12))) == brute_upper(30, 12)
+        assert reads == [30]
 
 
 class TestPairs:
