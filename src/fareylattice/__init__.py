@@ -1,6 +1,8 @@
 """Exact Farey sequences, their Boolean-lattice subsequences, and the
 catalog of unimodular bijections and identities that tie them together."""
 
+from types import ModuleType as _ModuleType
+
 from .catalog import (
     MAP_NAMES,
     Counterexample,
@@ -54,50 +56,6 @@ from .sequences import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Frac",
-    "UnimodularMap",
-    "ZERO",
-    "HALF",
-    "ONE",
-    "SeqDescriptor",
-    "FareySeq",
-    "farey",
-    "upper_subsequence",
-    "farey_boolean",
-    "left_half",
-    "right_half",
-    "materialize",
-    "iter_pairs",
-    "iter_terms",
-    "next_in_farey",
-    "prev_in_farey",
-    "succ_in_boolean",
-    "pred_in_boolean",
-    "solve_congruence_in_range",
-    "MapDescriptor",
-    "VerificationReport",
-    "Counterexample",
-    "MAP_NAMES",
-    "catalog",
-    "verify_map",
-    "verify_catalog",
-    "matrix_coherence_checks",
-    "quarter_indices",
-    "IdentityReport",
-    "mobius",
-    "phi_interval",
-    "phi_interval_mobius",
-    "farey_size",
-    "farey_boolean_size",
-    "farey_rank",
-    "farey_boolean_rank",
-    "interior_duality",
-    "filter_partition",
-    "symmetric_identities",
-    "farey_identities",
-    "enumerate_fractions",
-    "count_exact_intersection",
-    "filter_cardinality_check",
-    "__version__",
-]
+__all__ = [name for name, value in globals().items()
+           if not name.startswith("_") and not isinstance(value, _ModuleType)]
+__all__.append("__version__")

@@ -37,9 +37,9 @@ from .sequences import (
     BOOLEAN,
     FAREY,
     LEFT_HALF,
-    MAX_ORDER,
     RIGHT_HALF,
     SeqDescriptor,
+    _check_order,
     iter_pairs,
 )
 
@@ -220,9 +220,8 @@ def _verify(d: MapDescriptor,
         return VerificationReport(d.name, n, m, checks, Counterexample(
             None, None, f"matrix {d.matrix} has determinant {d.matrix.det}"))
 
-    for desc in (d.domain, d.codomain):
-        if desc.n > MAX_ORDER:
-            raise ValueError(f"order {desc.n} exceeds the materialization guard {MAX_ORDER}")
+    _check_order(d.domain)
+    _check_order(d.codomain)
     for desc in (d.domain, d.codomain):
         if desc not in walked:
             walked[desc] = list(iter_pairs(desc))

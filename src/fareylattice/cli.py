@@ -10,11 +10,14 @@ writes it in batches of GEN_BATCH terms, one write per batch, in both
 formats; neither format holds the sequence, so neither is bound by the
 materialization guard.  `index` and `count` never build a sequence either:
 they are Moebius counts (identities.farey_rank, farey_boolean_rank and the
-sizes), bounded by MAX_COUNT_ORDER.
+sizes), bounded by MAX_COUNT_ORDER.  Nor does verify's oracle suite, which
+compares the lattice scan with iter_pairs' pairs.
 
 Each verb is one row of _VERBS.  main builds the parser for the verb it
 runs and nothing else; it builds every verb only when argv does not start
-with a verb name, so that the usage error or help names all of them.
+with a verb name, so that the usage error or help names all of them.  The
+point verbs read their family's row of _POINT_FAMILIES and verify its sweeps
+from _SUITES; the keys of these two tables are the --family and --suite choices.
 """
 
 from __future__ import annotations
@@ -49,24 +52,9 @@ from .sequences import (
     FAREY,
     LEFT_HALF,
     RIGHT_HALF,
-    FareySeq,
     SeqDescriptor,
-    farey_boolean,
     iter_pairs,
 )
-
-
-def emit_json(seq: FareySeq) -> str:
-    """Compact JSON: {"family":..., "n":..., "m":..., "terms":[[h,k],...]}."""
-    d = seq.descriptor
-    obj = {
-        "family": d.family,
-        "n": d.n,
-        "m": d.m,
-        "terms": [[f.h, f.k] for f in seq],
-    }
-    return json.dumps(obj, separators=(",", ":"))
-
 
 # terms per out.write in gen
 GEN_BATCH = 4096
@@ -79,8 +67,8 @@ def _write_plain(d: SeqDescriptor, out) -> None:
 
 
 def _write_json(d: SeqDescriptor, out) -> None:
-    """emit_json(materialize(d)) and a newline, streamed: the header, then
-    the terms in batches, each term checked to follow its predecessor."""
+    """{"family":...,"n":...,"m":...,"terms":[[h,k],...]} and a newline, streamed:
+    the header, then the terms in batches, each checked to follow its predecessor."""
     head = json.dumps({"family": d.family, "n": d.n, "m": d.m}, separators=(",", ":"))
     out.write(head[:-1] + ',"terms":[')
     pairs = iter_pairs(d)
@@ -127,24 +115,28 @@ def _cmd_map(args, out) -> int:
     return 0
 
 
+# point-verb family -> (its sequence at m, its steps by direction, its rank, its size)
+_POINT_FAMILIES = {
+    "farey": (lambda m: SeqDescriptor(FAREY, m),
+              {"next": next_in_farey, "prev": prev_in_farey},
+              ident.farey_rank, ident.farey_size),
+    "boolean": (lambda m: SeqDescriptor(BOOLEAN, 2 * m, m),
+                {"next": succ_in_boolean, "prev": pred_in_boolean},
+                ident.farey_boolean_rank, ident.farey_boolean_size),
+}
+
+
 def _cmd_neighbor(args, out) -> int:
     f = Frac.parse(args.frac)
-    step = {
-        ("farey", "next"): next_in_farey,
-        ("farey", "prev"): prev_in_farey,
-        ("boolean", "next"): succ_in_boolean,
-        ("boolean", "prev"): pred_in_boolean,
-    }[(args.family, args.dir)]
-    print(step(f, args.m), file=out)
+    _, steps, _, _ = _POINT_FAMILIES[args.family]
+    print(steps[args.dir](f, args.m), file=out)
     return 0
 
 
 def _cmd_index(args, out) -> int:
     f = Frac.parse(args.frac)
-    if args.family == "farey":
-        d, rank = SeqDescriptor(FAREY, args.m), ident.farey_rank
-    else:
-        d, rank = SeqDescriptor(BOOLEAN, 2 * args.m, args.m), ident.farey_boolean_rank
+    sequence, _, rank, _ = _POINT_FAMILIES[args.family]
+    d = sequence(args.m)
     # ranked before the membership test, so the counting bound holds for every fraction
     i = rank(f.h, f.k, args.m)
     print(i if f in d else "absent", file=out)
@@ -152,7 +144,7 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    size = ident.farey_size if args.family == "farey" else ident.farey_boolean_size
+    *_, size = _POINT_FAMILIES[args.family]
     print(size(args.m), file=out)
     return 0
 
@@ -188,16 +180,11 @@ def _check_report(report: ident.IdentityReport) -> Check:
             "" if report.passed else f"lhs={report.lhs} rhs={report.rhs}")
 
 
-def _count_pairs(d: SeqDescriptor) -> int:
-    return sum(1 for _ in iter_pairs(d))
-
-
 def _sweep_identities(max_n: int, max_m: int) -> Iterator[Check]:
     for m in range(1, max_m + 1):
-        got, want = _count_pairs(SeqDescriptor(FAREY, m)), ident.farey_size(m)
-        yield (f"size farey m={m}", got == want, f"generated {got}, closed form {want}")
-        got, want = _count_pairs(SeqDescriptor(BOOLEAN, 2 * m, m)), ident.farey_boolean_size(m)
-        yield (f"size boolean m={m}", got == want, f"generated {got}, closed form {want}")
+        for family, (sequence, _, _, size) in _POINT_FAMILIES.items():
+            got, want = sum(1 for _ in iter_pairs(sequence(m))), size(m)
+            yield (f"size {family} m={m}", got == want, f"generated {got}, closed form {want}")
     for m in range(2, max_m + 1):
         lhs, rhs = ident.farey_boolean_size(m), 2 * ident.farey_size(m) - 1
         yield (f"size relation m={m}", lhs == rhs, f"{lhs} != 2*|F_m|-1 = {rhs}")
@@ -232,7 +219,8 @@ def _sweep_oracle(max_n: int) -> Iterator[Check]:
     top = min(max_n, lattice.ENUM_BOUND)
     for n in range(2, top + 1):
         for m in range(1, n):
-            same = lattice.enumerate_fractions(n, m).terms == farey_boolean(n, m).terms
+            scanned = [(f.h, f.k) for f in lattice.enumerate_fractions(n, m)]
+            same = scanned == list(iter_pairs(SeqDescriptor(BOOLEAN, n, m)))
             yield (f"oracle enumerate n={n} m={m}", same, "")
             if n <= 16:
                 ok = all(
@@ -247,17 +235,20 @@ def _sweep_oracle(max_n: int) -> Iterator[Check]:
               f"lattice.ENUM_BOUND = {lattice.ENUM_BOUND}", file=sys.stderr)
 
 
+# suite -> its sweep of (max_n, max_m); `all` runs them in this order
+_SUITES = {
+    "bijections": _sweep_bijections,
+    "identities": _sweep_identities,
+    "partition": lambda max_n, max_m: _sweep_partition(max_n),
+    "oracle": lambda max_n, max_m: _sweep_oracle(max_n),
+}
+
+
 def _cmd_verify(args, out) -> int:
-    sweeps = {
-        "bijections": lambda: _sweep_bijections(args.max_n, args.max_m),
-        "identities": lambda: _sweep_identities(args.max_n, args.max_m),
-        "partition": lambda: _sweep_partition(args.max_n),
-        "oracle": lambda: _sweep_oracle(args.max_n),
-    }
-    names = list(sweeps) if args.suite == "all" else [args.suite]
+    names = list(_SUITES) if args.suite == "all" else [args.suite]
     total = failed = 0
     for name in names:
-        for label, ok, detail in sweeps[name]():
+        for label, ok, detail in _SUITES[name](args.max_n, args.max_m):
             total += 1
             print(("PASS " if ok else "FAIL ") + label, file=out)
             if not ok:
@@ -284,23 +275,22 @@ _VERBS = {
         ("--frac", {"required": True, "metavar": "H/K"}),
     )),
     "neighbor": ("step to an adjacent term", _cmd_neighbor, (
-        ("--family", {"choices": ["farey", "boolean"], "required": True}),
+        ("--family", {"choices": list(_POINT_FAMILIES), "required": True}),
         ("--m", {"type": int, "required": True}),
         ("--frac", {"required": True, "metavar": "H/K"}),
         ("--dir", {"choices": ["next", "prev"], "required": True}),
     )),
     "index": ("zero-based position of a fraction", _cmd_index, (
-        ("--family", {"choices": ["farey", "boolean"], "default": "boolean"}),
+        ("--family", {"choices": list(_POINT_FAMILIES), "default": "boolean"}),
         ("--m", {"type": int, "required": True}),
         ("--frac", {"required": True, "metavar": "H/K"}),
     )),
     "count": ("closed-form sequence cardinality", _cmd_count, (
-        ("--family", {"choices": ["farey", "boolean"], "required": True}),
+        ("--family", {"choices": list(_POINT_FAMILIES), "required": True}),
         ("--m", {"type": int, "required": True}),
     )),
     "verify": ("run verification sweeps", _cmd_verify, (
-        ("--suite", {"choices": ["bijections", "identities", "partition", "oracle", "all"],
-                     "required": True}),
+        ("--suite", {"choices": [*_SUITES, "all"], "required": True}),
         ("--max-n", {"type": int, "default": 14, "dest": "max_n"}),
         ("--max-m", {"type": int, "default": 12, "dest": "max_m"}),
     )),

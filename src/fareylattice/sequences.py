@@ -109,7 +109,6 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
         h, k = f.h, f.k
         if h0 * k > h * k0 or h * k1 > h1 * k:
             return False
-        # callers: the CLI's map and index verbs and catalog's _mismatch
         for u, v, w in bounds(self.n, self.m):
             if u * h + v * k > w:
                 return False
@@ -244,10 +243,14 @@ def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:
     return (coprime(h, k) for h, k in iter_pairs(d))
 
 
-def materialize(d: SeqDescriptor) -> FareySeq:
-    """Build the sequence a descriptor names."""
+def _check_order(d: SeqDescriptor) -> None:
     if d.n > MAX_ORDER:
         raise ValueError(f"order {d.n} exceeds the materialization guard {MAX_ORDER}")
+
+
+def materialize(d: SeqDescriptor) -> FareySeq:
+    """Build the sequence a descriptor names."""
+    _check_order(d)
     return FareySeq(d, tuple(iter_terms(d)))
 
 

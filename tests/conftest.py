@@ -1,4 +1,8 @@
+import sys
+
 import pytest
+
+from fareylattice import sequences
 
 # the displayed 13-term order-6 sequence, used as a golden fixture throughout
 FAREY_6 = ["0/1", "1/6", "1/5", "1/4", "1/3", "2/5",
@@ -19,3 +23,21 @@ def golden_farey_6():
 @pytest.fixture(scope="session")
 def golden_boolean_12_6():
     return BOOLEAN_12_6
+
+
+@pytest.fixture
+def no_sequence_built(monkeypatch):
+    """Make materialize raise, and FareySeq raise unless the lattice scan
+    builds it: lattice.enumerate_fractions, the public oracle, returns one."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("materialize was called")
+
+    build = sequences.FareySeq.__init__
+
+    def build_in_lattice_only(self, *args, **kwargs):
+        if sys._getframe(1).f_globals["__name__"] != "fareylattice.lattice":
+            raise AssertionError("a FareySeq was built outside the lattice scan")
+        build(self, *args, **kwargs)
+
+    monkeypatch.setattr(sequences, "materialize", refuse)
+    monkeypatch.setattr(sequences.FareySeq, "__init__", build_in_lattice_only)

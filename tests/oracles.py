@@ -5,6 +5,7 @@ use stdlib Fraction for ordering and raw filtering/enumeration for
 membership, so agreement with the package is meaningful evidence.
 """
 
+import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
@@ -72,3 +73,12 @@ def brute_divisor_sum(h: int, lower: int, upper: int) -> int:
     (an h < 1 has no divisors), mu from the factorization oracle."""
     return sum(brute_mobius(d) * (upper // d - lower // d)
                for d in range(1, min(h, upper) + 1) if h % d == 0)
+
+
+def emit_json(seq) -> str:
+    """A materialized sequence as compact JSON,
+    {"family":...,"n":...,"m":...,"terms":[[h,k],...]}: the reference for
+    the CLI's streamed JSON."""
+    d = seq.descriptor
+    obj = {"family": d.family, "n": d.n, "m": d.m, "terms": [[f.h, f.k] for f in seq]}
+    return json.dumps(obj, separators=(",", ":"))

@@ -11,7 +11,7 @@ import pytest
 from fareylattice import cli
 from fareylattice import identities as ident
 from fareylattice.catalog import MATRICES, SYM_COMPLEMENT
-from fareylattice.cli import emit_json, main
+from fareylattice.cli import main
 from fareylattice.fracs import Frac
 from fareylattice.sequences import (
     BOOLEAN,
@@ -21,13 +21,14 @@ from fareylattice.sequences import (
     MAX_ORDER,
     RIGHT_HALF,
     UPPER,
+    FareySeq,
     SeqDescriptor,
     farey,
     farey_boolean,
     left_half,
     materialize,
 )
-from oracles import brute_boolean, brute_farey, brute_upper
+from oracles import brute_boolean, brute_farey, brute_upper, emit_json
 
 
 def run(capsys, *argv):
@@ -338,6 +339,22 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "e35f3d30e91866604ed97fd1b15aa7b13d2b8fdd2904bec542b8fe906482753a"
 
+    def test_dropped_lattice_term_fails_oracle_sweep(self, capsys, monkeypatch):
+        scan = cli.lattice.enumerate_fractions
+
+        def drop_one(n, m):
+            seq = scan(n, m)
+            if (n, m) != (5, 2):
+                return seq
+            return FareySeq(seq.descriptor, seq.terms[:3] + seq.terms[4:])
+
+        monkeypatch.setattr(cli.lattice, "enumerate_fractions", drop_one)
+        rc, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", "6")
+        assert rc == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL oracle enumerate n=5 m=2", f"FAIL 1/{len(out.splitlines()) - 1}"]
+        assert err == "counterexample: oracle enumerate n=5 m=2: \n"
+
     def test_corrupted_matrix_fails_sweep(self, capsys, monkeypatch):
         # an identity matrix is unimodular but not order-reversing
         monkeypatch.setitem(MATRICES, SYM_COMPLEMENT, (1, 0, 0, 1))
@@ -347,6 +364,21 @@ class TestVerify:
         assert any(line.startswith("FAIL") for line in out.splitlines())
         assert out.splitlines()[-1].startswith("FAIL")
         assert "counterexample" in err
+
+
+class TestNoSequenceBuilt:
+    """No verb holds a sequence: materialize and FareySeq refuse (the
+    lattice scan, the oracle suite's own FareySeq, aside)."""
+
+    def test_oracle_suite(self, capsys, no_sequence_built):
+        rc, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", "8")
+        assert rc == 0 and err == "" and out.splitlines()[-1].startswith("PASS")
+
+    def test_gen_json_every_family(self, capsys, no_sequence_built):
+        for argv, _, pairs in every_gen_call(12):
+            rc, out, err = run(capsys, "gen", *argv, "--format", "json")
+            assert rc == 0 and err == "", argv
+            assert json.loads(out)["terms"] == [[h, k] for h, k in pairs], argv
 
 
 class TestUsage:

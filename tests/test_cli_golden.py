@@ -32,6 +32,14 @@ def test_transcript(capsys, case):
     assert (captured.out, captured.err, status) == (case["stdout"], case["stderr"], case["status"])
 
 
+def test_transcript_builds_no_sequence(capsys, no_sequence_built):
+    for case in TRANSCRIPT:
+        status = main(case["argv"])
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err, status) == \
+            (case["stdout"], case["stderr"], case["status"]), case["argv"]
+
+
 def _readme_examples() -> list[tuple[str, list[str]]]:
     """(command, the lines shown under it) for each `$ fareylattice` line."""
     examples: list[tuple[str, list[str]]] = []

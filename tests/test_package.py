@@ -1,0 +1,31 @@
+"""The package's public names, pinned: __all__ is derived from its imports."""
+
+import fareylattice
+
+PUBLIC = {
+    "Frac", "UnimodularMap", "ZERO", "HALF", "ONE",
+    "SeqDescriptor", "FareySeq", "farey", "upper_subsequence", "farey_boolean",
+    "left_half", "right_half", "materialize", "iter_pairs", "iter_terms",
+    "next_in_farey", "prev_in_farey", "succ_in_boolean", "pred_in_boolean",
+    "solve_congruence_in_range",
+    "MapDescriptor", "VerificationReport", "Counterexample", "MAP_NAMES", "catalog",
+    "verify_map", "verify_catalog", "matrix_coherence_checks", "quarter_indices",
+    "IdentityReport", "mobius", "phi_interval", "phi_interval_mobius", "farey_size",
+    "farey_boolean_size", "farey_rank", "farey_boolean_rank", "interior_duality",
+    "filter_partition", "symmetric_identities", "farey_identities",
+    "enumerate_fractions", "count_exact_intersection", "filter_cardinality_check",
+    "__version__",
+}
+
+
+def test_all_is_the_public_name_set():
+    assert len(PUBLIC) == 45
+    assert sorted(fareylattice.__all__) == sorted(PUBLIC)
+
+
+def test_star_import_resolves_every_name():
+    namespace = {}
+    exec("from fareylattice import *", namespace)
+    del namespace["__builtins__"]
+    assert set(namespace) == PUBLIC
+    assert all(namespace[name] is getattr(fareylattice, name) for name in PUBLIC)
