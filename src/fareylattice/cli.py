@@ -11,7 +11,7 @@ formats; neither format holds the sequence, so neither is bound by the
 materialization guard.  `index` and `count` never build a sequence either:
 they are Moebius counts (identities.farey_rank, farey_boolean_rank and the
 sizes), bounded by MAX_COUNT_ORDER.  Nor does verify's oracle suite, which
-compares the lattice scan with iter_pairs' pairs.
+compares the lattice scan's list of (h, k) pairs with iter_pairs' pairs.
 
 Each verb is one row of _VERBS.  main builds the parser for the verb it
 runs and nothing else; it builds every verb only when argv does not start
@@ -219,7 +219,7 @@ def _sweep_oracle(max_n: int) -> Iterator[Check]:
     top = min(max_n, lattice.ENUM_BOUND)
     for n in range(2, top + 1):
         for m in range(1, n):
-            scanned = [(f.h, f.k) for f in lattice.enumerate_fractions(n, m)]
+            scanned = lattice.enumerate_fractions(n, m)
             same = scanned == list(iter_pairs(SeqDescriptor(BOOLEAN, n, m)))
             yield (f"oracle enumerate n={n} m={m}", same, "")
             if n <= 16:

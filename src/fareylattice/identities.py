@@ -150,6 +150,8 @@ def _mertens(n: int) -> dict[int, int]:
     every x // d is a smaller quotient of n, constant over blocks of d, so
     the sum runs over O(sqrt(x)) blocks.
     """
+    if not isinstance(n, int):
+        raise TypeError(f"order must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
     if n > MAX_COUNT_ORDER:

@@ -4,7 +4,8 @@ Subsets of an n-element ground set are n-bit words; the marked block A is
 the low m bits.  Scanning all 2^n words realizes the defining construction
 of the boolean sequence family (reduced |B & A| / |B| over nonempty B) and
 the rank-slice counts behind the binomial identities, with no number
-theory involved, so these scans validate the closed-form modules.
+theory involved, so these scans validate the closed-form modules.  The
+module imports nothing from sequences, the code it checks.
 
 Each (n, m) is scanned once, into a histogram of (|B & A|, |B|) cells
 that the enumeration, the rank-slice counts and the filter cardinality all
@@ -23,7 +24,6 @@ from operator import add
 
 from .fracs import Frac
 from .identities import IdentityReport
-from .sequences import BOOLEAN, FareySeq, SeqDescriptor
 
 ENUM_BOUND = 24  # 2^n words are scanned; refuse anything bigger
 
@@ -57,16 +57,15 @@ def _intersection_histogram(n: int, m: int) -> dict[tuple[int, int], int]:
     return {(c // width, c // width + c % width): count for c, count in Counter(codes).items()}
 
 
-def enumerate_fractions(n: int, m: int) -> FareySeq:
-    """All reduced values |B & A| / |B| over nonempty subsets B, ascending.
+def enumerate_fractions(n: int, m: int) -> list[tuple[int, int]]:
+    """Reduced (h, k) of every |B & A| / |B| over nonempty subsets B, ascending.
 
     Must coincide with the arithmetic characterization (h <= m and
-    k - h <= n - m inside F_n); the sequences module builds that one, this
-    scan never consults it.
+    k - h <= n - m inside F_n) that sequences.iter_pairs walks; this scan
+    never consults it.
     """
     _check_bounds(n, m)
-    terms = tuple(sorted({Frac(j, l) for j, l in _intersection_histogram(n, m) if l}))
-    return FareySeq(SeqDescriptor(BOOLEAN, n, m), terms)
+    return [(f.h, f.k) for f in sorted({Frac(j, l) for j, l in _intersection_histogram(n, m) if l})]
 
 
 def count_exact_intersection(n: int, m: int, j: int, l: int) -> int:

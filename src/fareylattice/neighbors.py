@@ -49,8 +49,10 @@ def _require_term(f: Frac, family: str, m: int) -> None:
 
     The bounds k <= m, or h <= m and k-h <= m, are tested on (h, k)
     directly; the descriptor is built only on failure, for its validation
-    of m and its name in the message.
+    of m and its name in the message.  A non-int m raises TypeError.
     """
+    if not isinstance(m, int):
+        raise TypeError(f"order must be an int, got m={m!r}")
     h, k = f.h, f.k
     member = k <= m if family == FAREY else (h <= m and k - h <= m)
     if member:

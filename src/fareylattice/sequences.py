@@ -24,7 +24,8 @@ pairs satisfy c*b - a*d = 1, so every pair is already reduced; iter_terms
 wraps them as Frac without a gcd, and the CLI formats them straight from
 the ints.  A SeqDescriptor names a sequence as the named tuple (family, n,
 m), checked when built; `f in descriptor` tests the bounds directly.
-materialize holds a sequence as an immutable tuple.
+FareySeq(descriptor) holds its terms as a tuple built from the descriptor
+alone, and compares, hashes and tests membership by the descriptor.
 """
 
 from __future__ import annotations
@@ -78,6 +79,8 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
     def __new__(cls, family: str, n: int, m: int | None = None) -> SeqDescriptor:
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
+        if not isinstance(n, int) or not (m is None or isinstance(m, int)):
+            raise TypeError(f"n and m must be ints, got n={n!r}, m={m!r}")
         if n < 1:
             raise ValueError(f"order must be positive, got n={n}")
         if family == FAREY:
@@ -121,19 +124,14 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
 
 
 class FareySeq:
-    """An ascending, zero-indexed, duplicate-free sequence of Frac terms."""
+    """The sequence a descriptor names, as a zero-indexed tuple of Frac terms."""
 
     __slots__ = ("descriptor", "terms")
 
-    def __init__(self, descriptor: SeqDescriptor, terms: tuple[Frac, ...]) -> None:
-        for i in range(len(terms) - 1):
-            if not terms[i] < terms[i + 1]:
-                raise ValueError(
-                    f"terms not strictly ascending at index {i}: "
-                    f"{terms[i]} !< {terms[i + 1]}"
-                )
+    def __init__(self, descriptor: SeqDescriptor) -> None:
+        _check_order(descriptor)
         object.__setattr__(self, "descriptor", descriptor)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "terms", tuple(iter_terms(descriptor)))
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FareySeq is immutable")
@@ -150,10 +148,10 @@ class FareySeq:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FareySeq):
             return NotImplemented
-        return self.descriptor == other.descriptor and self.terms == other.terms
+        return self.descriptor == other.descriptor
 
     def __hash__(self) -> int:
-        return hash((self.descriptor, self.terms))
+        return hash(self.descriptor)
 
     def index_of(self, f: Frac) -> int | None:
         """Zero-based position of f, or None when absent (binary search)."""
@@ -163,7 +161,7 @@ class FareySeq:
         return None
 
     def __contains__(self, f: object) -> bool:
-        return isinstance(f, Frac) and self.index_of(f) is not None
+        return f in self.descriptor
 
     def __repr__(self) -> str:
         return f"FareySeq({self.descriptor}, {len(self.terms)} terms)"
@@ -250,8 +248,7 @@ def _check_order(d: SeqDescriptor) -> None:
 
 def materialize(d: SeqDescriptor) -> FareySeq:
     """Build the sequence a descriptor names."""
-    _check_order(d)
-    return FareySeq(d, tuple(iter_terms(d)))
+    return FareySeq(d)
 
 
 def farey(n: int) -> FareySeq:

@@ -1,5 +1,3 @@
-import sys
-
 import pytest
 
 from fareylattice import sequences
@@ -27,17 +25,9 @@ def golden_boolean_12_6():
 
 @pytest.fixture
 def no_sequence_built(monkeypatch):
-    """Make materialize raise, and FareySeq raise unless the lattice scan
-    builds it: lattice.enumerate_fractions, the public oracle, returns one."""
+    """Make materialize and FareySeq raise, whoever calls them."""
     def refuse(*args, **kwargs):
-        raise AssertionError("materialize was called")
-
-    build = sequences.FareySeq.__init__
-
-    def build_in_lattice_only(self, *args, **kwargs):
-        if sys._getframe(1).f_globals["__name__"] != "fareylattice.lattice":
-            raise AssertionError("a FareySeq was built outside the lattice scan")
-        build(self, *args, **kwargs)
+        raise AssertionError("a sequence was materialized")
 
     monkeypatch.setattr(sequences, "materialize", refuse)
-    monkeypatch.setattr(sequences.FareySeq, "__init__", build_in_lattice_only)
+    monkeypatch.setattr(sequences.FareySeq, "__init__", refuse)

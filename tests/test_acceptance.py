@@ -34,7 +34,7 @@ from fareylattice.neighbors import (
     prev_in_farey,
     succ_in_boolean,
 )
-from fareylattice.sequences import farey, farey_boolean
+from fareylattice.sequences import BOOLEAN, SeqDescriptor, farey, farey_boolean, iter_pairs
 
 FAREY_LIMIT = 300
 BOOLEAN_LIMIT = 150
@@ -167,7 +167,7 @@ def test_criterion_08_oracle_equivalence():
     bad = []
     for n in range(2, 15):
         for m in range(1, n):
-            if enumerate_fractions(n, m).terms != farey_boolean(n, m).terms:
+            if enumerate_fractions(n, m) != list(iter_pairs(SeqDescriptor(BOOLEAN, n, m))):
                 bad.append(f"enumerate n={n} m={m}")
             for l in range(n + 1):
                 for j in range(l + 1):

@@ -21,7 +21,6 @@ from fareylattice.sequences import (
     MAX_ORDER,
     RIGHT_HALF,
     UPPER,
-    FareySeq,
     SeqDescriptor,
     farey,
     farey_boolean,
@@ -343,10 +342,10 @@ class TestVerify:
         scan = cli.lattice.enumerate_fractions
 
         def drop_one(n, m):
-            seq = scan(n, m)
+            pairs = scan(n, m)
             if (n, m) != (5, 2):
-                return seq
-            return FareySeq(seq.descriptor, seq.terms[:3] + seq.terms[4:])
+                return pairs
+            return pairs[:3] + pairs[4:]
 
         monkeypatch.setattr(cli.lattice, "enumerate_fractions", drop_one)
         rc, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", "6")
@@ -367,8 +366,8 @@ class TestVerify:
 
 
 class TestNoSequenceBuilt:
-    """No verb holds a sequence: materialize and FareySeq refuse (the
-    lattice scan, the oracle suite's own FareySeq, aside)."""
+    """No verb holds a sequence: materialize and FareySeq refuse every
+    caller, the oracle suite's lattice scan included."""
 
     def test_oracle_suite(self, capsys, no_sequence_built):
         rc, out, err = run(capsys, "verify", "--suite", "oracle", "--max-n", "8")

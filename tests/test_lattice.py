@@ -3,45 +3,50 @@ from math import comb
 
 import pytest
 
-from fareylattice import lattice
+from fareylattice import lattice, sequences
 from fareylattice.lattice import (
     count_exact_intersection,
     enumerate_fractions,
     filter_cardinality_check,
 )
-from fareylattice.sequences import farey_boolean
+from fareylattice.sequences import BOOLEAN, SeqDescriptor, iter_pairs
 from oracles import brute_intersection_histogram, brute_subset_fractions
 
 
 class TestEnumerate:
     def test_two_element_ground_set(self):
-        assert [(f.h, f.k) for f in enumerate_fractions(2, 1)] == [(0, 1), (1, 2), (1, 1)]
+        assert enumerate_fractions(2, 1) == [(0, 1), (1, 2), (1, 1)]
 
     def test_four_two(self):
         assert len(enumerate_fractions(4, 2)) == 5
 
     def test_twelve_six_matches_display(self, golden_boolean_12_6):
-        assert [str(f) for f in enumerate_fractions(12, 6)] == golden_boolean_12_6
+        assert [f"{h}/{k}" for h, k in enumerate_fractions(12, 6)] == golden_boolean_12_6
 
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 11) for m in range(1, n)])
     def test_equals_arithmetic_characterization(self, n, m):
-        assert enumerate_fractions(n, m).terms == farey_boolean(n, m).terms
+        assert enumerate_fractions(n, m) == list(iter_pairs(SeqDescriptor(BOOLEAN, n, m)))
 
     @pytest.mark.parametrize("n,m", [(5, 2), (7, 3), (9, 5)])
     def test_matches_independent_scan(self, n, m):
-        assert [(f.h, f.k) for f in enumerate_fractions(n, m)] == \
-            brute_subset_fractions(n, m)
+        assert enumerate_fractions(n, m) == brute_subset_fractions(n, m)
 
     @pytest.mark.parametrize("n,m", [(18, 5), (20, 10)])
     def test_spot_pairs_beyond_sweep(self, n, m):
-        assert enumerate_fractions(n, m).terms == farey_boolean(n, m).terms
+        assert enumerate_fractions(n, m) == list(iter_pairs(SeqDescriptor(BOOLEAN, n, m)))
 
     def test_bound(self):
         with pytest.raises(ValueError, match="bound"):
             enumerate_fractions(25, 5)
 
-    def test_descriptor(self):
-        assert enumerate_fractions(6, 2).descriptor == farey_boolean(6, 2).descriptor
+    def test_binds_nothing_from_sequences(self):
+        # the scan is ground truth for sequences, so it must not reach into it
+        own = [sequences] + [value for name, value in vars(sequences).items()
+                             if not name.startswith("__")
+                             and getattr(value, "__module__", sequences.__name__)
+                             == sequences.__name__]
+        assert [name for name, value in vars(lattice).items()
+                if any(value is v for v in own)] == []
 
 
 class TestRankCounts:
