@@ -94,6 +94,11 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
             raise ValueError(f"halfsequences exist only for n = 2m, got n={n}, m={m}")
         return super().__new__(cls, family, n, m)
 
+    @classmethod
+    def _make(cls, iterable) -> SeqDescriptor:
+        """Build from an iterable through __new__'s checks, as _replace does."""
+        return cls(*iterable)
+
     @property
     def is_symmetric_boolean(self) -> bool:
         """True for the boolean family with n = 2m, the case that splits in half."""

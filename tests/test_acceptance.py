@@ -137,8 +137,9 @@ def test_criterion_06_cardinality_closed_forms(farey_seqs, boolean_seqs):
     for m in range(1, 101):
         if farey_boolean_size(m) != len(boolean_seqs[m]):
             bad.append(f"boolean m={m}")
+    # on generated lengths: both closed forms read one Moebius sum
     for m in range(2, 101):
-        if farey_boolean_size(m) != 2 * farey_size(m) - 1:
+        if len(boolean_seqs[m]) != 2 * len(farey_seqs[m]) - 1:
             bad.append(f"relation m={m}")
     _report("criterion-06 closed-form sizes match generation "
             "(farey to 300, boolean to 100) and the doubling relation",

@@ -354,6 +354,21 @@ class TestVerify:
         assert failed == ["FAIL oracle enumerate n=5 m=2", f"FAIL 1/{len(out.splitlines()) - 1}"]
         assert err == "counterexample: oracle enumerate n=5 m=2: \n"
 
+    def test_dropped_boolean_term_fails_size_relation(self, capsys, monkeypatch):
+        # the relation compares generated counts, so a lost term breaks it too
+        walk = cli.iter_pairs
+
+        def drop_one(d):
+            pairs = list(walk(d))
+            return iter(pairs[:3] + pairs[4:] if d == SeqDescriptor(BOOLEAN, 6, 3) else pairs)
+
+        monkeypatch.setattr(cli, "iter_pairs", drop_one)
+        rc, out, _ = run(capsys, "verify", "--suite", "identities", "--max-n", "3", "--max-m", "3")
+        assert rc == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL size boolean m=3", "FAIL size relation m=3",
+                          f"FAIL 2/{len(out.splitlines()) - 1}"]
+
     def test_corrupted_matrix_fails_sweep(self, capsys, monkeypatch):
         # an identity matrix is unimodular but not order-reversing
         monkeypatch.setitem(MATRICES, SYM_COMPLEMENT, (1, 0, 0, 1))

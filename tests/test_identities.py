@@ -77,6 +77,12 @@ class TestPhiInterval:
         with pytest.raises(ValueError, match="empty"):
             phi_interval_mobius(3, 5, 5)
 
+    @pytest.mark.parametrize("h, lower, upper", [(0, 0, 5), (-6, 0, 10), (-1, 3, 4)])
+    def test_divisor_sum_rejects_nonpositive_h(self, h, lower, upper):
+        # gcd(0, j) = j, so 0 has one coprime j on [1, 5]; a silent 0 would be wrong
+        with pytest.raises(ValueError, match="h >= 1"):
+            phi_interval_mobius(h, lower, upper)
+
     @pytest.mark.parametrize("h", range(1, 31))
     def test_divisor_sum_equals_direct_count(self, h):
         for lo in range(0, 60, 7):
@@ -87,7 +93,7 @@ class TestPhiInterval:
         # uppers from 1 up past 600 fall below some divisors of most h
         intervals = [(lo, hi) for lo in (0, 1, 4, 29) for hi in (1, 2, 3, 6, 10, 35, 97, 300, 601)
                      if lo < hi]
-        for h in range(-3, 601):
+        for h in range(1, 601):
             for lo, hi in intervals:
                 assert phi_interval_mobius(h, lo, hi) == brute_divisor_sum(h, lo, hi), (h, lo, hi)
 
@@ -150,7 +156,8 @@ class TestClosedFormSizes:
 
     @pytest.mark.parametrize("m", range(2, 41))
     def test_boolean_is_twice_farey_minus_one(self, m):
-        assert farey_boolean_size(m) == 2 * farey_size(m) - 1
+        # on generated lengths: both closed forms read one Moebius sum
+        assert len(farey_boolean(2 * m, m)) == 2 * len(farey(m)) - 1
 
 
 class TestMertens:
@@ -291,5 +298,4 @@ class TestReportShape:
 
     def test_failure_detected(self):
         r = filter_partition(3, 1)
-        r.lhs = [5]
-        assert not r.passed
+        assert r.passed and not r._replace(lhs=[5]).passed

@@ -1,6 +1,16 @@
 """The package's public names, pinned: __all__ is derived from its imports."""
 
+import pytest
+
 import fareylattice
+from fareylattice import (
+    Counterexample,
+    Frac,
+    SeqDescriptor,
+    catalog,
+    filter_partition,
+    verify_map,
+)
 
 PUBLIC = {
     "Frac", "UnimodularMap", "ZERO", "HALF", "ONE",
@@ -29,3 +39,18 @@ def test_star_import_resolves_every_name():
     del namespace["__builtins__"]
     assert set(namespace) == PUBLIC
     assert all(namespace[name] is getattr(fareylattice, name) for name in PUBLIC)
+
+
+@pytest.mark.parametrize("record, field", [
+    (filter_partition(3, 1), "lhs"),
+    (verify_map(catalog(12, 6)[0]), "counterexample"),
+    (Counterexample(Frac(1, 3), None, "reason"), "reason"),
+    (catalog(12, 6)[0], "direction"),
+    (SeqDescriptor("boolean", 12, 6), "n"),
+], ids=lambda x: type(x).__name__ if isinstance(x, tuple) else x)
+def test_every_record_is_a_read_only_named_tuple(record, field):
+    before = getattr(record, field)
+    assert isinstance(record, tuple) and field in record._asdict()
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)
+    assert getattr(record, field) is before

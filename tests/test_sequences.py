@@ -1,3 +1,4 @@
+import copy
 import pickle
 from itertools import islice
 from math import gcd
@@ -341,6 +342,33 @@ class TestDescriptorRecord:
                                    SeqDescriptor(LEFT_HALF, 12, 6)])
     def test_pickle_round_trip(self, d):
         assert pickle.loads(pickle.dumps(d)) == d
+
+    @pytest.mark.parametrize("base, change", [
+        (SeqDescriptor(FAREY, 6), {"n": -3}),
+        (SeqDescriptor(FAREY, 6), {"n": 4.5}),
+        (SeqDescriptor(BOOLEAN, 5, 4), {"m": 9}),
+        (SeqDescriptor(BOOLEAN, 8, 3), {"family": LEFT_HALF}),
+    ], ids=["n=-3", "n=4.5", "m=9", "left-half"])
+    def test_replace_and_make_check_as_the_constructor_does(self, base, change):
+        fields = {**base._asdict(), **change}
+
+        def raised(build):
+            try:
+                build()
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+            return None
+
+        direct = raised(lambda: SeqDescriptor(**fields))
+        assert direct is not None
+        assert raised(lambda: base._replace(**change)) == direct
+        assert raised(lambda: SeqDescriptor._make(fields.values())) == direct
+
+    def test_valid_replace_is_the_direct_build(self):
+        d = SeqDescriptor(BOOLEAN, 6, 3)._replace(family=LEFT_HALF)
+        assert type(d) is SeqDescriptor and d == SeqDescriptor(LEFT_HALF, 6, 3)
+        assert pickle.loads(pickle.dumps(d)) == d
+        assert copy.copy(d) == d and copy.deepcopy(d) == d
 
 
 class TestFareySeqInvariants:
