@@ -45,6 +45,10 @@ class Frac:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Frac is immutable")
 
+    def __reduce__(self) -> tuple:
+        # copy and pickle rebuild through the constructor, not the setter above
+        return (Frac, (self.h, self.k))
+
     # comparisons by cross multiplication; Python ints never overflow.
     # total_ordering derives <=, > and >= from these two.
     def __eq__(self, other: object) -> bool:
@@ -101,9 +105,17 @@ class UnimodularMap:
     __slots__ = ("a", "b", "c", "d")
 
     def __init__(self, a: int, b: int, c: int, d: int, check: bool = True) -> None:
-        self.a, self.b, self.c, self.d = a, b, c, d
+        for name, value in zip(self.__slots__, (a, b, c, d)):
+            object.__setattr__(self, name, value)
         if check and abs(self.det) != 1:
             raise ValueError(f"matrix {self} has determinant {self.det}, not +-1")
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("UnimodularMap is immutable")
+
+    def __reduce__(self) -> tuple:
+        # unchecked, so a matrix built with check=False round-trips too
+        return (UnimodularMap, (*self.entries(), False))
 
     @property
     def det(self) -> int:

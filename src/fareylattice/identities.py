@@ -1,14 +1,14 @@
 """Moebius function, interval totients, cardinality closed forms, ranks, and
 the binomial-sum identities carried by the interior fractions of the sequences.
 
-Sizes and ranks are Moebius sums over d = 1..n of mu(d) * g(n // d): g is
-N*(N+1) for the sizes and N + sum_{q<=N} floor(q*h/k) for the rank of h/k
-in F_n, which counts the pairs p/q <= h/k with q <= N before reducing them.
-n // d takes O(sqrt(n)) values, each over a block of d, so each sum runs
-over the blocks, weighted by Mertens differences M(last d) - M(first d - 1).
-_mertens sieves mu only up to about n^(2/3) and gets M at the larger floor
-quotients of n from M(x) = 1 - sum_{d>=2} M(x // d).  The inner rank sum is
-the Euclid-like floor sum, so no count or rank builds a sequence.
+The rank of h/k in F_n is a Moebius sum over d = 1..n of mu(d) * g(n // d),
+where g(N) = N + sum_{q<=N} floor(q*h/k) counts the pairs p/q <= h/k with
+q <= N before reducing them; every size is the rank of the last term 1/1
+plus one.  n // d takes O(sqrt(n)) values, each over a block of d, so the
+sum runs over the blocks, weighted by Mertens differences M(last d) -
+M(first d - 1).  _mertens sieves mu only up to about n^(2/3) and gets M at
+the larger floor quotients of n from M(x) = 1 - sum_{d>=2} M(x // d).  The
+inner sum is the Euclid-like floor sum, so no count or rank builds a sequence.
 
 Every identity's left side is one pair sum over a stretch of a sequence,
 sum_f sum_s C(M, s*a) * C(M', s*b), where a and b are linear forms in the
@@ -190,33 +190,6 @@ def _mobius_blocks(n: int) -> list[tuple[int, int]]:
     return blocks
 
 
-def _mobius_size_sum(blocks: list[tuple[int, int]]) -> int:
-    """sum_d mu(d) * floor(m/d) * (floor(m/d) + 1), one term per block of m,
-    shared by both sizes and the boolean rank."""
-    return sum(w * q * (q + 1) for q, w in blocks)
-
-
-def farey_size(m: int) -> int:
-    """|F_m| = 1 + (1/2) sum_d mu(d) * floor(m/d) * (floor(m/d) + 1)."""
-    total = _mobius_size_sum(_mobius_blocks(m))
-    # the weighted sum is always even; fail loudly rather than truncate
-    half, rem = divmod(total, 2)
-    if rem:
-        raise ArithmeticError(f"odd divisor sum {total} for m={m}")
-    return 1 + half
-
-
-def farey_boolean_size(m: int) -> int:
-    """|F(B(2m), m)| = 1 + sum_d mu(d) * floor(m/d) * (floor(m/d) + 1).
-
-    The closed form is twice the F_m one minus one; it also holds at m = 1,
-    where direct counting of (0/1, 1/2, 1/1) gives 3.  It reads the same
-    Moebius sum as farey_size, so the two agree by algebra: verify checks
-    the relation on generated counts, and each closed form against generation.
-    """
-    return 1 + _mobius_size_sum(_mobius_blocks(m))
-
-
 def _floor_sum(n: int, m: int, a: int, b: int) -> int:
     """sum_{i=0}^{n-1} (a*i + b) // m for n >= 0, m >= 1 and a, b >= 0.
 
@@ -249,12 +222,28 @@ def _rank(h: int, k: int, blocks: list[tuple[int, int]]) -> int:
     return sum(w * (q + _floor_sum(q + 1, k, h, 0)) for q, w in blocks if w) - 1
 
 
+def _check_unit(h: int, k: int) -> None:
+    """Reject h/k outside [0/1, 1/1]; an unreduced h/k ranks by its value."""
+    if k < 1 or not 0 <= h <= k:
+        raise ValueError(f"{h}/{k} is not a fraction in [0/1, 1/1]")
+
+
 def farey_rank(h: int, k: int, n: int) -> int:
     """Zero-based position of the term h/k of F_n, counted without building
     F_n: O(sqrt(n)) floor sums over the blocks of d where n // d is
     constant, each weighted by a Mertens difference.  For any h/k in [0, 1]
     it is the number of terms at or below h/k, less one."""
+    _check_unit(h, k)
     return _rank(h, k, _mobius_blocks(n))
+
+
+def farey_size(m: int) -> int:
+    """|F_m|, the rank of its last term 1/1 plus one.
+
+    At 1/1 the rank's floor sum is N*(N+1)/2 and sum_d mu(d) * (m // d) is 1,
+    so this is the closed form 1 + (1/2) sum_d mu(d) * (m//d) * (m//d + 1).
+    """
+    return farey_rank(1, 1, m) + 1
 
 
 def farey_boolean_rank(h: int, k: int, m: int) -> int:
@@ -263,13 +252,25 @@ def farey_boolean_rank(h: int, k: int, m: int) -> int:
     At or left of 1/2 it is the rank of h/(k-h) in F_m.  Right of 1/2 the
     complement h/k -> (k-h)/k reverses the sequence and carries the term to
     the left half, where h/(k-h) becomes (k-h)/h: the position is
-    |F(B(2m), m)| - 1 - rank((k-h)/h), where |F(B(2m), m)| - 1 is m's
-    Moebius size sum.  Both sides read one Mertens table of m.
+    2 * rank(1/1) - rank((k-h)/h), since the last term 1/1 sits at twice
+    the rank of 1/1 in F_m.  Both sides read one Mertens table of m.
     """
+    _check_unit(h, k)
     blocks = _mobius_blocks(m)
     if 2 * h <= k:
         return _rank(h, k - h, blocks)
-    return _mobius_size_sum(blocks) - _rank(k - h, h, blocks)
+    return 2 * _rank(1, 1, blocks) - _rank(k - h, h, blocks)
+
+
+def farey_boolean_size(m: int) -> int:
+    """|F(B(2m), m)|, the rank of its last term 1/1 plus one.
+
+    That is 2 * |F_m| - 1, also at m = 1, where direct counting of
+    (0/1, 1/2, 1/1) gives 3.  Both sizes read the rank of 1/1 in F_m, so the
+    two agree by algebra: verify checks the relation on generated counts,
+    and each size against generation.
+    """
+    return farey_boolean_rank(1, 1, m) + 1
 
 
 class IdentityReport(NamedTuple):
@@ -326,9 +327,7 @@ def _pair_sum(pairs: list[tuple[int, int]], m1: int, m2: int,
 def _halves_and_cross(m: int) -> tuple[int, int]:
     """(2^(2m-1) - 2^m - C(2m,m)/2 + 1, sum_t C(m,2t)*C(m,t)): the halves
     value and what the thirds and paired forms subtract from it."""
-    central, rem = divmod(comb(2 * m, m), 2)
-    if rem:
-        raise ArithmeticError(f"odd central binomial for m={m}")
+    central = comb(2 * m - 1, m - 1)  # C(2m, m) / 2, exactly
     cross = sum(comb(m, 2 * t) * comb(m, t) for t in range(1, m // 2 + 1))
     return 2 ** (2 * m - 1) - 2 ** m + 1 - central, cross
 

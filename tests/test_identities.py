@@ -206,7 +206,20 @@ class TestRank:
     def test_quarter_ratio_at_a_million(self):
         ranks = [farey_boolean_rank(h, k, 10 ** 6) for h, k in ((1, 3), (1, 2), (2, 3), (1, 1))]
         assert ranks == [151981776196 * j for j in (1, 2, 3, 4)]
-        assert ranks[3] == farey_boolean_size(10 ** 6) - 1
+        # 2 * sum_{k <= 10^6} phi(k), from a standalone totient sieve; the size
+        # is itself the rank of 1/1, so comparing with it would be circular
+        assert ranks[3] == 607927104784
+
+    @pytest.mark.parametrize("rank", [farey_rank, farey_boolean_rank])
+    @pytest.mark.parametrize("h, k", [(1, 0), (0, 0), (4, 3), (7, 2), (-1, 3), (1, -2)])
+    def test_rejects_fractions_outside_the_unit_interval(self, rank, h, k):
+        with pytest.raises(ValueError, match=f"{h}/{k} is not a fraction"):
+            rank(h, k, 5)
+
+    @pytest.mark.parametrize("rank", [farey_rank, farey_boolean_rank])
+    def test_unreduced_fraction_ranks_by_value(self, rank):
+        pairs = [(0, 1), (1, 3), (1, 2), (3, 4), (1, 1)]
+        assert [rank(2 * h, 2 * k, 9) for h, k in pairs] == [rank(h, k, 9) for h, k in pairs]
 
 
 class TestInteriorDuality:

@@ -1,5 +1,8 @@
 """The package's public names, pinned: __all__ is derived from its imports."""
 
+import copy
+import pickle
+
 import pytest
 
 import fareylattice
@@ -7,7 +10,9 @@ from fareylattice import (
     Counterexample,
     Frac,
     SeqDescriptor,
+    UnimodularMap,
     catalog,
+    farey,
     filter_partition,
     verify_map,
 )
@@ -54,3 +59,21 @@ def test_every_record_is_a_read_only_named_tuple(record, field):
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
+
+
+@pytest.mark.parametrize("value, field", [
+    (Frac(1, 2), "h"),
+    (farey(3), "terms"),
+    (UnimodularMap(0, 1, 1, 0), "a"),
+    (UnimodularMap(-1, 1, 0, 2, check=False), "d"),
+    (SeqDescriptor("boolean", 12, 6), "m"),
+    (catalog(12, 6)[0], "matrix"),
+    (verify_map(catalog(12, 5)[0]._replace(codomain=SeqDescriptor("boolean", 12, 5))),
+     "counterexample"),
+    (filter_partition(3, 1), "rhs"),
+], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+def test_values_copy_and_pickle_to_equals_and_refuse_assignment(value, field):
+    for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+        assert type(clone) is type(value) and clone == value
+    with pytest.raises(AttributeError):
+        setattr(value, field, None)
