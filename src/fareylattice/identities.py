@@ -247,7 +247,9 @@ def farey_size(m: int) -> int:
 
 
 def farey_boolean_rank(h: int, k: int, m: int) -> int:
-    """Zero-based position of the reduced h/k in F(B(2m), m), by counting.
+    """Zero-based position of h/k in F(B(2m), m), by counting.
+
+    h/k is ranked by value; it need not be reduced.
 
     At or left of 1/2 it is the rank of h/(k-h) in F_m.  Right of 1/2 the
     complement h/k -> (k-h)/k reverses the sequence and carries the term to

@@ -105,7 +105,7 @@ def test_criterion_04_quarter_indices():
             continue
         if (t12, t23, t11) != (2 * t13, 3 * t13, 4 * t13):
             bad.append(f"m={m}: ratio {t13}:{t12}:{t23}:{t11}")
-        if t11 % 4 != 0 or t11 != farey_boolean_size(m) - 1:
+        if t11 % 4 != 0 or t11 != len(farey_boolean(2 * m, m)) - 1:
             bad.append(f"m={m}: length end {t11}")
     _report("criterion-04 quarter indices in ratio 1:2:3:4, length-1 "
             "divisible by 4, m in 2..60", not bad, "; ".join(bad[:3]))

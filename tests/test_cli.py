@@ -214,7 +214,10 @@ class TestIndexCount:
     def test_index_above_materialization_guard(self, capsys, family):
         rc, out, err = run(capsys, "index", "--family", family, "--m", str(MAX_ORDER + 1),
                            "--frac", "1/1")
-        want = ident.farey_size(MAX_ORDER + 1) - 1
+        # |F_10001| = 30407279 = 1 + sum_{k <= 10001} phi(k), from a standalone
+        # totient sieve; 1/1 is the last term, at |F| - 1 (twice that for boolean).
+        assert MAX_ORDER + 1 == 10_001
+        want = 30407279 - 1
         assert rc == 0 and err == ""
         assert out == f"{want if family == 'farey' else 2 * want}\n"
 

@@ -49,6 +49,8 @@ def test_star_import_resolves_every_name():
 @pytest.mark.parametrize("record, field", [
     (filter_partition(3, 1), "lhs"),
     (verify_map(catalog(12, 6)[0]), "counterexample"),
+    (verify_map(catalog(12, 5)[0]._replace(codomain=SeqDescriptor("boolean", 12, 5))),
+     "checks"),
     (Counterexample(Frac(1, 3), None, "reason"), "reason"),
     (catalog(12, 6)[0], "direction"),
     (SeqDescriptor("boolean", 12, 6), "n"),
@@ -56,6 +58,8 @@ def test_star_import_resolves_every_name():
 def test_every_record_is_a_read_only_named_tuple(record, field):
     before = getattr(record, field)
     assert isinstance(record, tuple) and field in record._asdict()
+    for clone in (pickle.loads(pickle.dumps(record)), copy.copy(record), copy.deepcopy(record)):
+        assert type(clone) is type(record) and clone == record
     with pytest.raises(AttributeError):
         setattr(record, field, None)
     assert getattr(record, field) is before
@@ -66,13 +70,8 @@ def test_every_record_is_a_read_only_named_tuple(record, field):
     (farey(3), "terms"),
     (UnimodularMap(0, 1, 1, 0), "a"),
     (UnimodularMap(-1, 1, 0, 2, check=False), "d"),
-    (SeqDescriptor("boolean", 12, 6), "m"),
-    (catalog(12, 6)[0], "matrix"),
-    (verify_map(catalog(12, 5)[0]._replace(codomain=SeqDescriptor("boolean", 12, 5))),
-     "counterexample"),
-    (filter_partition(3, 1), "rhs"),
 ], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
-def test_values_copy_and_pickle_to_equals_and_refuse_assignment(value, field):
+def test_slot_values_copy_and_pickle_to_equals_and_refuse_assignment(value, field):
     for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
         assert type(clone) is type(value) and clone == value
     with pytest.raises(AttributeError):
