@@ -45,6 +45,9 @@ class Frac:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Frac is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("Frac is immutable")
+
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through the constructor, not the setter above
         return (Frac, (self.h, self.k))
@@ -111,6 +114,9 @@ class UnimodularMap:
             raise ValueError(f"matrix {self} has determinant {self.det}, not +-1")
 
     def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError("UnimodularMap is immutable")
+
+    def __delattr__(self, name: str) -> None:
         raise AttributeError("UnimodularMap is immutable")
 
     def __reduce__(self) -> tuple:

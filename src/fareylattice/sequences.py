@@ -141,6 +141,9 @@ class FareySeq:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("FareySeq is immutable")
 
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("FareySeq is immutable")
+
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through the constructor, not the setter above
         return (FareySeq, (self.descriptor,))

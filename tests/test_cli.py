@@ -24,6 +24,7 @@ from fareylattice.sequences import (
     SeqDescriptor,
     farey,
     farey_boolean,
+    iter_pairs,
     left_half,
     materialize,
 )
@@ -129,6 +130,16 @@ def every_gen_call(n):
                    SeqDescriptor(RIGHT_HALF, n, m), [(h, k) for h, k in boolean if 2 * h >= k])
 
 
+def first_difference(got: str, want: str):
+    """None if got == want, else 30 characters of each from where they part.
+
+    Short, where pytest's own diff of two long texts can take minutes."""
+    if got == want:
+        return None
+    i = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+    return got[i:i + 30], want[i:i + 30]
+
+
 class TestGenEveryFamily:
     """The batched writers against oracles that share none of their code."""
 
@@ -154,13 +165,52 @@ class TestGenEveryFamily:
         rc, out, _ = run(capsys, "gen", "--family", "farey", "--n", "200", "--format", fmt)
         assert rc == 0
         want = emit_json(seq) if fmt == "json" else "\n".join(str(f) for f in seq)
-        assert out == want + "\n"
+        assert first_difference(out, want + "\n") is None
 
     def test_json_rejects_terms_out_of_order(self, capsys, monkeypatch):
         monkeypatch.setattr(cli, "iter_pairs", lambda d: iter([(0, 1), (1, 2), (1, 3), (1, 1)]))
         rc, out, err = run(capsys, "gen", "--family", "farey", "--n", "3", "--format", "json")
         assert rc == 2 and "not strictly ascending: 1/2 !< 1/3" in err
         assert '"terms":[[0,1]' in out
+
+
+# (argv, descriptor) for every family, both halves, boolean --m 1, farey --n 1,
+# and an output that crosses a GEN_BATCH boundary
+FORMATTER_SHAPES = [
+    (["--family", "farey", "--n", "1"], SeqDescriptor(FAREY, 1)),
+    (["--family", "farey", "--n", "200"], SeqDescriptor(FAREY, 200)),  # 12,233 terms
+    (["--family", "upper", "--n", "31", "--m", "9"], SeqDescriptor(UPPER, 31, 9)),
+    (["--family", "boolean", "--n", "31", "--m", "1"], SeqDescriptor(BOOLEAN, 31, 1)),
+    (["--family", "boolean", "--n", "31", "--m", "12"], SeqDescriptor(BOOLEAN, 31, 12)),
+    (["--family", "boolean", "--n", "30", "--m", "15", "--half", "left"],
+     SeqDescriptor(LEFT_HALF, 30, 15)),
+    (["--family", "boolean", "--n", "30", "--m", "15", "--half", "right"],
+     SeqDescriptor(RIGHT_HALF, 30, 15)),
+]
+
+
+class TestGenFormatter:
+    """Both formats against f-string and json.dumps renderings of the same pairs,
+    with the string tables (n within the bound) and without them (n above it)."""
+
+    @pytest.mark.parametrize("tables", [True, False], ids=["tables", "f-strings"])
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("argv, d", FORMATTER_SHAPES,
+                             ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_matches_independent_rendering(self, capsys, monkeypatch, argv, d, fmt, tables):
+        if tables:
+            assert d.n <= cli._TABLE_MAX_ORDER
+        else:
+            monkeypatch.setattr(cli, "_TABLE_MAX_ORDER", d.n - 1)
+        pairs = list(iter_pairs(d))
+        if fmt == "plain":
+            want = "".join(f"{h}/{k}\n" for h, k in pairs)
+        else:
+            obj = {"family": d.family, "n": d.n, "m": d.m, "terms": [[h, k] for h, k in pairs]}
+            want = json.dumps(obj, separators=(",", ":")) + "\n"
+        rc, out, err = run(capsys, "gen", *argv, "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert first_difference(out, want) is None
 
 
 class TestNeighbor:
@@ -474,6 +524,34 @@ class PipeClosingAfterFirstWrite(ClosedPipe):
         return len(text)
 
 
+# Runs cli.main(argv) against a stdout whose writes raise BrokenPipeError
+# after the first, under tracemalloc, and prints the exit status, the writes
+# attempted, the traced peak in bytes and the seconds main took.
+HUGE_ORDER_CHILD = """
+import io, os, resource, sys, time, tracemalloc
+resource.setrlimit(resource.RLIMIT_AS, (2**29, 2**29))
+from fareylattice.cli import main
+
+class PipeClosingAfterFirstWrite(io.TextIOBase):
+    def __init__(self):
+        self.fd, self.writes = os.open(os.devnull, os.O_WRONLY), 0
+    def fileno(self):
+        return self.fd
+    def write(self, text):
+        self.writes += 1
+        if self.writes > 1:
+            raise BrokenPipeError(32, "Broken pipe")
+        return len(text)
+
+report, sys.stdout = sys.stdout, PipeClosingAfterFirstWrite()
+tracemalloc.start()
+start = time.perf_counter()
+rc = main(sys.argv[1:])
+seconds = time.perf_counter() - start
+print(rc, sys.stdout.writes, tracemalloc.get_traced_memory()[1], seconds, file=report)
+"""
+
+
 class TestBrokenPipe:
     def test_json_streams_above_materialization_guard(self, capsys, monkeypatch, tmp_path):
         n = MAX_ORDER + 1
@@ -493,6 +571,22 @@ class TestBrokenPipe:
             assert os.path.samestat(os.fstat(target.fileno()), os.stat(os.devnull))
         assert rc == 0
         assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_huge_order_builds_no_table(self, fmt):
+        # in a child capped at 512 MiB of address space, so that a writer that
+        # sized anything by n fails there instead of exhausting the host's memory
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        argv = ["gen", "--family", "farey", "--n", str(10**9), "--format", fmt]
+        proc = subprocess.run([sys.executable, "-c", HUGE_ORDER_CHILD, *argv], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.stderr == ""
+        rc, writes, peak, seconds = proc.stdout.split()
+        assert (rc, writes) == ("0", "2")
+        assert int(peak) < 4 * 2**20
+        assert float(seconds) < 10
 
     def test_head_closing_the_pipe(self):
         src = str(Path(__file__).resolve().parent.parent / "src")

@@ -8,6 +8,9 @@ import pytest
 import fareylattice
 from fareylattice import (
     Counterexample,
+    HALF,
+    ONE,
+    ZERO,
     Frac,
     SeqDescriptor,
     UnimodularMap,
@@ -76,3 +79,20 @@ def test_slot_values_copy_and_pickle_to_equals_and_refuse_assignment(value, fiel
         assert type(clone) is type(value) and clone == value
     with pytest.raises(AttributeError):
         setattr(value, field, None)
+
+
+@pytest.mark.parametrize("value, field", [
+    (ZERO, "h"),
+    (HALF, "k"),
+    (ONE, "h"),
+    (farey(3), "terms"),
+    (catalog(12, 6)[0].matrix, "a"),
+    (UnimodularMap(-1, 1, 0, 2, check=False), "d"),
+], ids=lambda x: type(x).__name__ if not isinstance(x, str) else x)
+def test_slot_values_refuse_deletion(value, field):
+    before = getattr(value, field)
+    with pytest.raises(AttributeError, match="immutable"):
+        delattr(value, field)
+    assert getattr(value, field) is before
+    # the shared constants stay whole for every later caller
+    assert [(f.h, f.k) for f in (ZERO, HALF, ONE)] == [(0, 1), (1, 2), (1, 1)]
