@@ -270,6 +270,9 @@ _SUITES = {
 
 
 def _cmd_verify(args, out) -> int:
+    # the sweeps start at n = m = 2; a smaller bound empties one, and an empty sweep must not pass
+    if min(args.max_n, args.max_m) < 2:
+        raise ValueError(f"--max-n and --max-m must be at least 2, got {args.max_n} and {args.max_m}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     total = failed = 0
     for name in names:

@@ -9,23 +9,23 @@ module imports nothing from sequences, the code it checks.
 
 Each (n, m) is scanned once, into a histogram of (|B & A|, |B|) cells
 that the enumeration, the rank-slice counts and the filter cardinality all
-read.  The cells are counted word by word, never taken from binomials:
-C(m, j) * C(n-m, l-j) is the identity the scan is there to check.  A scan
-keeps no per-word buffer; its one table has 2^m bytes, under one byte per
-word, so a scan at ENUM_BOUND holds at most 8 MiB.
+read.  The scan gives every word a one-byte code for its cell and counts
+the codes in C byte operations, 64 KiB of words at a time.  No cell is
+taken from a binomial, and no cell is a product of two smaller histograms:
+C(m, j) * C(n-m, l-j) is the identity the scan is there to check, so a
+scan that assumed it would check nothing.  A scan keeps no per-word
+buffer beyond one 64 KiB table and one 64 KiB block.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
-from itertools import chain, repeat
-from operator import add
 
 from .fracs import Frac
 from .identities import IdentityReport
 
 ENUM_BOUND = 24  # 2^n words are scanned; refuse anything bigger
+_SHIFT = bytes(range(256))  # identity translation; rotated by s, it adds s to every code
 
 
 def _check_bounds(n: int, m: int, bound: int = ENUM_BOUND) -> None:
@@ -42,19 +42,37 @@ def _intersection_histogram(n: int, m: int) -> dict[tuple[int, int], int]:
     The module's only scan of the 2^n words.  Every public function reads
     its (j, l) cells, and the cache lets them share one scan per (n, m).
 
-    Every word w is counted once, under a code for its own cell: l is
-    w.bit_count(), and since w & A == w mod 2^m, j is the popcount of word
-    w mod 2^m.  The table `marked` holds (n-m)*j for the first 2^m words
-    and is read 2^(n-m) times over, so the code is l + (n-m)*j =
-    (n-m+1)*j + (l-j).  Codes stay below (n/2 + 1)^2, so for
-    n <= ENUM_BOUND each fits in a byte and is a cached small int.
+    Every word w gets a one-byte code for its own cell: each marked bit
+    adds width = n-m+1 and each unmarked bit adds 1, so the code is
+    width*j + (l-j).  Codes stay below (n/2 + 1)^2, so for n <= ENUM_BOUND
+    each fits in a byte.  The codes of the low min(n, 16) bits come from
+    doubling a table, once per bit, by appending it translated by that
+    bit's weight.  The words are then walked in blocks of len(table); a
+    block is the table translated by the weight of its first word's high
+    bits, which holds the code of every word in the block, and each code a
+    block can hold is counted there with bytes.count, so every word is
+    counted under its own code.  No cell comes from C(m, j) * C(n-m, l-j),
+    over the whole set or over its split into table and high bits, and no
+    block reuses the table's counts: the scan is there to check that
+    product rule, so it cannot assume it.
     """
     words = range(1 << n)
-    scale = n - m
-    marked = bytes(map(scale.__mul__, map(int.bit_count, words[: 1 << m])))
-    codes = map(add, map(int.bit_count, words), chain.from_iterable(repeat(marked, 1 << scale)))
-    width = scale + 1
-    return {(c // width, c // width + c % width): count for c, count in Counter(codes).items()}
+    width = n - m + 1
+    low = min(n, 16)
+    marked_low = min(m, low)
+    table = b"\0"
+    for weight in [width] * marked_low + [1] * (low - marked_low):
+        table += table.translate(_SHIFT[weight:] + _SHIFT[:weight])
+    # the table's codes: width*j + u with j <= marked_low, u <= low - marked_low
+    codes = [c for c in _SHIFT[: table[-1] + 1] if c % width <= low - marked_low]
+    marked = (1 << m) - 1
+    counts = [0] * len(_SHIFT)
+    for start in words[:: len(table)]:
+        shift = (width - 1) * (start & marked).bit_count() + start.bit_count()
+        block = table.translate(_SHIFT[shift:] + _SHIFT[:shift])
+        for code in codes:
+            counts[shift + code] += block.count(shift + code)
+    return {(c // width, c // width + c % width): count for c, count in enumerate(counts) if count}
 
 
 def enumerate_fractions(n: int, m: int) -> list[tuple[int, int]]:

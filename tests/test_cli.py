@@ -391,6 +391,22 @@ class TestVerify:
         assert hashlib.sha256(out.encode()).hexdigest() == \
             "e35f3d30e91866604ed97fd1b15aa7b13d2b8fdd2904bec542b8fe906482753a"
 
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "all", "--max-n", "-5", "--max-m", "-3"],
+        ["--suite", "oracle", "--max-n", "0"],
+        ["--suite", "partition", "--max-n", "1"],
+        ["--suite", "bijections", "--max-m", "1"],
+    ])
+    def test_bound_below_two_is_a_usage_error(self, capsys, argv):
+        # such a sweep checks nothing, or only the bound-free matrix checks
+        rc, out, err = run(capsys, "verify", *argv)
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --max-n and --max-m must be at least 2") and err.count("\n") == 1
+
+    def test_smallest_bounds_check_something(self, capsys):
+        rc, out, _ = run(capsys, "verify", "--suite", "all", "--max-n", "2", "--max-m", "2")
+        assert rc == 0 and out.splitlines()[-1] == "PASS 36/36"
+
     def test_dropped_lattice_term_fails_oracle_sweep(self, capsys, monkeypatch):
         scan = cli.lattice.enumerate_fractions
 

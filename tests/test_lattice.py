@@ -114,12 +114,12 @@ class TestOneScan:
 
 class TestScan:
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 15) for m in range(1, n)]
-                             + [(17, 1), (18, 5), (20, 10), (20, 19)])
+                             + [(17, 1), (18, 5), (20, 10), (20, 19), (17, 16), (18, 17)])
     def test_histogram_equals_per_word_count(self, n, m):
         assert lattice._intersection_histogram(n, m) == brute_intersection_histogram(n, m)
 
     def test_scan_holds_under_one_byte_per_word(self):
-        # m = n - 1 gives the largest marked-block table, 2^(n-1) bytes
+        # m = n - 1 marks every bit of the table and three high bits of each of 16 blocks
         lattice._intersection_histogram.cache_clear()
         tracemalloc.start()
         try:
@@ -128,3 +128,17 @@ class TestScan:
         finally:
             tracemalloc.stop()
         assert peak < 2 ** 20
+
+    def test_scan_at_the_bound_is_small_and_exact(self):
+        # 256 blocks, whose high parts hold seven marked bits and one unmarked
+        n, m = lattice.ENUM_BOUND, lattice.ENUM_BOUND - 1
+        lattice._intersection_histogram.cache_clear()
+        tracemalloc.start()
+        try:
+            cells = lattice._intersection_histogram(n, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        assert cells == {(j, l): comb(m, j) * comb(n - m, l - j)
+                         for l in range(n + 1) for j in range(max(0, l - (n - m)), min(l, m) + 1)}
