@@ -9,6 +9,11 @@ from functools import total_ordering
 from math import gcd
 
 
+def _immutable(self, *_) -> None:
+    """__setattr__ and __delattr__ of the immutable classes: refuse."""
+    raise AttributeError(f"{type(self).__name__} is immutable")
+
+
 @total_ordering
 class Frac:
     """An irreducible fraction h/k with 0 <= h <= k and k >= 1.
@@ -42,11 +47,7 @@ class Frac:
         _set_k(f, k)
         return f
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Frac is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("Frac is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through the constructor, not the setter above
@@ -113,11 +114,7 @@ class UnimodularMap:
         if check and abs(self.det) != 1:
             raise ValueError(f"matrix {self} has determinant {self.det}, not +-1")
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("UnimodularMap is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("UnimodularMap is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self) -> tuple:
         # unchecked, so a matrix built with check=False round-trips too

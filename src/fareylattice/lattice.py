@@ -9,12 +9,14 @@ module imports nothing from sequences, the code it checks.
 
 Each (n, m) is scanned once, into a histogram of (|B & A|, |B|) cells
 that the enumeration, the rank-slice counts and the filter cardinality all
-read.  The scan gives every word a one-byte code for its cell and counts
-the codes in C byte operations, 64 KiB of words at a time.  No cell is
-taken from a binomial, and no cell is a product of two smaller histograms:
-C(m, j) * C(n-m, l-j) is the identity the scan is there to check, so a
-scan that assumed it would check nothing.  A scan keeps no per-word
-buffer beyond one 64 KiB table and one 64 KiB block.
+read, so all three accept every 0 < m < n <= ENUM_BOUND and verify's oracle
+suite runs each of them at every such (n, m).  The scan gives every word a
+one-byte code for its cell and counts the codes in C byte operations, 64
+KiB of words at a time.  No cell is taken from a binomial, and no cell is
+a product of two smaller histograms: C(m, j) * C(n-m, l-j) is the identity
+the scan is there to check, so a scan that assumed it would check nothing.
+A scan keeps no per-word buffer beyond one 64 KiB table and one 64 KiB
+block.
 """
 
 from __future__ import annotations
@@ -28,11 +30,11 @@ ENUM_BOUND = 24  # 2^n words are scanned; refuse anything bigger
 _SHIFT = bytes(range(256))  # identity translation; rotated by s, it adds s to every code
 
 
-def _check_bounds(n: int, m: int, bound: int = ENUM_BOUND) -> None:
+def _check_bounds(n: int, m: int) -> None:
     if not 0 < m < n:
         raise ValueError(f"need 0 < m < n, got n={n}, m={m}")
-    if n > bound:
-        raise ValueError(f"n={n} exceeds the enumeration bound {bound}")
+    if n > ENUM_BOUND:
+        raise ValueError(f"n={n} exceeds the enumeration bound {ENUM_BOUND}")
 
 
 @lru_cache(maxsize=64)
@@ -106,7 +108,7 @@ def filter_cardinality_check(n: int, m: int) -> IdentityReport:
     them) plus the closed-form count 2^n - 2^m - 2^(n-m) + 1 of the mixed
     ones, so it matches the RHS exactly when the block count is right.
     """
-    _check_bounds(n, m, bound=20)
+    _check_bounds(n, m)
     cells = _intersection_histogram(n, m).items()
     meeting = sum(c for (j, l), c in cells if j)
     inside = sum(c for (j, l), c in cells if j == l >= 1)

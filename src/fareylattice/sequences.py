@@ -34,7 +34,7 @@ from bisect import bisect_left
 from collections import namedtuple
 from typing import Iterator
 
-from .fracs import Frac
+from .fracs import Frac, _immutable
 
 FAREY = "farey"
 UPPER = "upper"
@@ -138,11 +138,7 @@ class FareySeq:
         object.__setattr__(self, "descriptor", descriptor)
         object.__setattr__(self, "terms", tuple(iter_terms(descriptor)))
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("FareySeq is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("FareySeq is immutable")
+    __setattr__ = __delattr__ = _immutable
 
     def __reduce__(self) -> tuple:
         # copy and pickle rebuild through the constructor, not the setter above

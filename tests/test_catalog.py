@@ -208,6 +208,14 @@ class TestRecords:
             report.counterexample = Counterexample(None, None, "patched")
         assert report.counterexample is None
 
+    def test_str_of_passing_and_failing_report(self):
+        assert str(verify_map(catalog(12, 6)[0])) == "complement n=12 m=6: pass"
+        bad = MapDescriptor(FAREY_TO_LEFT, UnimodularMap(*MATRICES[FAREY_TO_LEFT]),
+                            SeqDescriptor(FAREY, 5), SeqDescriptor(LEFT_HALF, 12, 6),
+                            PRESERVING)
+        assert str(verify_map(bad)) == "farey-to-left n=12 m=6: fail failed=image-set " \
+                                       "(input=- image=1/7: codomain term has no preimage)"
+
     @pytest.mark.parametrize("d", catalog(12, 6))
     def test_checks_are_a_list(self, d):
         assert type(verify_map(d).checks) is list

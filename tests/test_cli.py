@@ -68,6 +68,15 @@ class TestGen:
                          "--half", "left")
         assert rc == 2 and "n = 2m" in err
 
+    @pytest.mark.parametrize("argv", [
+        ["--family", "farey", "--n", "5", "--half", "left"],
+        ["--family", "upper", "--n", "6", "--m", "2", "--half", "right"],
+    ])
+    def test_half_only_for_boolean(self, capsys, argv):
+        rc, out, err = run(capsys, "gen", *argv)
+        assert rc == 2 and out == ""
+        assert err == "error: --half applies only to the boolean family\n"
+
     def test_missing_m(self, capsys):
         rc, _, err = run(capsys, "gen", "--family", "boolean", "--n", "12")
         assert rc == 2 and "--m" in err
@@ -373,6 +382,15 @@ class TestVerify:
         assert out.splitlines()[-2] == "PASS identity filter-cardinality n=6 m=5"
         assert out.splitlines()[-1] == "PASS 45/45"
 
+    def test_oracle_checks_every_n_up_to_the_bound(self, capsys):
+        # all three checks at every (n, m), past the single 64 KiB block of n = 16
+        rc, out, _ = run(capsys, "verify", "--suite", "oracle", "--max-n", "17")
+        lines = out.splitlines()
+        assert rc == 0
+        assert "PASS oracle rank-counts n=17 m=8" in lines
+        assert "PASS identity filter-cardinality n=17 m=16" in lines
+        assert lines[-1] == "PASS 408/408"
+
     @pytest.mark.parametrize("argv", [[], ["--max-n", "16"]])
     def test_oracle_within_bound_writes_no_stderr(self, capsys, argv):
         rc, _, err = run(capsys, "verify", "--suite", "oracle", *argv)
@@ -437,6 +455,18 @@ class TestVerify:
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == ["FAIL size boolean m=3", "FAIL size relation m=3",
                           f"FAIL 2/{len(out.splitlines()) - 1}"]
+
+    def test_quarter_indices_failure_is_reported(self, capsys, monkeypatch):
+        def off_ratio(m):
+            raise ArithmeticError(f"quarter indices [1, 2, 3, 5] for m={m} are not in ratio 1:2:3:4")
+
+        monkeypatch.setattr(cli, "quarter_indices", off_ratio)
+        rc, out, err = run(capsys, "verify", "--suite", "bijections", "--max-n", "2", "--max-m", "2")
+        assert rc == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == ["FAIL quarter-indices m=2", f"FAIL 1/{len(out.splitlines()) - 1}"]
+        assert err == "counterexample: quarter-indices m=2: " \
+                      "quarter indices [1, 2, 3, 5] for m=2 are not in ratio 1:2:3:4\n"
 
     def test_corrupted_matrix_fails_sweep(self, capsys, monkeypatch):
         # an identity matrix is unimodular but not order-reversing

@@ -73,6 +73,15 @@ class TestPhiInterval:
         assert phi_interval_mobius(1, 0, 9) == 9
         assert phi_interval_mobius(6, 6, 12) == 2  # {7, 11}
 
+    @pytest.mark.parametrize("count, args, message", [
+        (phi_interval, (0, 1, 5), "h >= 1"),
+        (phi_interval, (3, 0, 5), "positive integer"),
+        (phi_interval_mobius, (3, -1, 5), "nonnegative"),
+    ])
+    def test_rejects_nonpositive_h_or_interval_start(self, count, args, message):
+        with pytest.raises(ValueError, match=message):
+            count(*args)
+
     def test_divisor_sum_rejects_empty(self):
         with pytest.raises(ValueError, match="empty"):
             phi_interval_mobius(3, 5, 5)
@@ -240,6 +249,11 @@ class TestInteriorDuality:
     def test_swapping_m_gives_same_report_values(self):
         a, b = interior_duality(9, 2), interior_duality(9, 7)
         assert sorted(a.lhs) == sorted(b.lhs) and a.rhs == b.rhs
+
+    def test_str_of_passing_and_failing_report(self):
+        r = interior_duality(4, 2)
+        assert str(r) == "interior-duality n=4 m=2: lhs=[9, 9] rhs=9 pass"
+        assert str(r._replace(rhs=10)) == "interior-duality n=4 m=2: lhs=[9, 9] rhs=10 fail"
 
 
 class TestFilterPartition:

@@ -39,6 +39,11 @@ class TestEnumerate:
         with pytest.raises(ValueError, match="bound"):
             enumerate_fractions(25, 5)
 
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_rejects_m_outside_the_ground_set(self, m):
+        with pytest.raises(ValueError, match="need 0 < m < n"):
+            enumerate_fractions(6, m)
+
     def test_binds_nothing_from_sequences(self):
         # the scan is ground truth for sequences, so it must not reach into it
         own = [sequences] + [value for name, value in vars(sequences).items()
@@ -74,6 +79,11 @@ class TestRankCounts:
         with pytest.raises(ValueError, match="bound"):
             count_exact_intersection(25, 5, 1, 1)
 
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_rejects_m_outside_the_ground_set(self, m):
+        with pytest.raises(ValueError, match="need 0 < m < n"):
+            count_exact_intersection(6, m, 0, 0)
+
 
 class TestFilterCardinality:
     @pytest.mark.parametrize("n,m,expected", [(3, 1, 4), (4, 2, 12), (2, 1, 2)])
@@ -88,9 +98,18 @@ class TestFilterCardinality:
         for m in range(1, n):
             assert filter_cardinality_check(n, m).passed
 
+    @pytest.mark.parametrize("n,m", [(21, 10), (24, 23)])
+    def test_passes_up_to_the_enumeration_bound(self, n, m):
+        assert filter_cardinality_check(n, m).passed
+
     def test_bound(self):
         with pytest.raises(ValueError, match="bound"):
-            filter_cardinality_check(21, 5)
+            filter_cardinality_check(lattice.ENUM_BOUND + 1, 5)
+
+    @pytest.mark.parametrize("m", [0, 6])
+    def test_rejects_m_outside_the_ground_set(self, m):
+        with pytest.raises(ValueError, match="need 0 < m < n"):
+            filter_cardinality_check(6, m)
 
 
 class TestOneScan:

@@ -38,6 +38,10 @@ class TestCongruenceSolver:
         with pytest.raises(ValueError, match="window"):
             solve_congruence_in_range(2, 5, 1, 1, 3)
 
+    def test_rejects_nonpositive_modulus(self):
+        with pytest.raises(ValueError, match="modulus must be positive"):
+            solve_congruence_in_range(1, 0, 1, 0, -1)
+
     def test_rejects_bad_sign(self):
         with pytest.raises(ValueError, match="residue_sign"):
             solve_congruence_in_range(2, 5, 2, 1, 5)

@@ -275,6 +275,11 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             SeqDescriptor(FAREY, 6, 2)
 
+    @pytest.mark.parametrize("family", [UPPER, BOOLEAN])
+    def test_parametrized_family_requires_m(self, family):
+        with pytest.raises(ValueError, match="requires parameter m"):
+            SeqDescriptor(family, 6)
+
     def test_range_check(self):
         with pytest.raises(ValueError):
             SeqDescriptor(BOOLEAN, 6, 6)
