@@ -5,8 +5,9 @@ usage errors (bad arguments, fractions outside the requested sequence).
 A reader that closes the output pipe early, as `| head` does, ends the
 command quietly with status 0.
 
-`gen` renders sequences.iter_pairs' int pairs in batches of GEN_BATCH terms,
-one write per batch, in both formats.  Each h and k lies in 0..n, so up to
+`gen` has one writer, _write, for both formats: it renders iter_pairs' int
+pairs in batches of GEN_BATCH terms, one write per batch, unchecked, since
+the walk ascends by construction.  Each h and k lies in 0..n, so up to
 order _TABLE_MAX_ORDER each term is joined from two tables of decimal
 strings for 0..n built once per call (plain "h/" and "k\\n", JSON ",[h," and
 "k]"), with no int-to-str conversion per term; above it each term is an
@@ -29,7 +30,6 @@ from _SUITES; the keys of these two tables are the --family and --suite choices.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from itertools import islice
@@ -48,6 +48,7 @@ from .catalog import (
 )
 from .fracs import Frac
 from .neighbors import (
+    _symmetric_boolean,
     next_in_farey,
     pred_in_boolean,
     prev_in_farey,
@@ -83,28 +84,21 @@ def _batch_text(n: int, pre: str, sep: str, end: str):
     return lambda batch: "".join([nums[h] + dens[k] for h, k in batch])
 
 
-def _write_plain(d: SeqDescriptor, out) -> None:
-    text, pairs = _batch_text(d.n, "", "/", "\n"), iter_pairs(d)
+def _write(d: SeqDescriptor, fmt: str, out) -> None:
+    """Stream the sequence d names as fmt, "plain" or "json", one write per batch.
+    JSON writes its head on its own first and ends with "]}" and a newline."""
+    pairs = iter_pairs(d)
+    if fmt == "plain":
+        text, tail = _batch_text(d.n, "", "/", "\n"), ""
+    else:
+        text, tail = _batch_text(d.n, ",[", ",", "]"), "]}\n"
+        m = "null" if d.m is None else d.m
+        out.write(f'{{"family":"{d.family}","n":{d.n},"m":{m},"terms":[')
+    # JSON's first term takes no comma; a plain batch never starts with one
+    out.write(text(islice(pairs, GEN_BATCH)).removeprefix(","))
     while chunk := text(islice(pairs, GEN_BATCH)):
         out.write(chunk)
-
-
-def _write_json(d: SeqDescriptor, out) -> None:
-    """{"family":...,"n":...,"m":...,"terms":[[h,k],...]} and a newline, streamed:
-    the header, then the terms in batches, each checked to follow its predecessor."""
-    text = _batch_text(d.n, ",[", ",", "]")
-    head = json.dumps({"family": d.family, "n": d.n, "m": d.m}, separators=(",", ":"))
-    out.write(head[:-1] + ',"terms":[')
-    pairs = iter_pairs(d)
-    h0, k0 = next(pairs)
-    out.write(f"[{h0},{k0}]")
-    while batch := list(islice(pairs, GEN_BATCH)):
-        for h, k in batch:
-            if h0 * k >= h * k0:
-                raise ValueError(f"terms not strictly ascending: {h0}/{k0} !< {h}/{k}")
-            h0, k0 = h, k
-        out.write(text(batch))
-    out.write("]}\n")
+    out.write(tail)
 
 
 def _cmd_gen(args, out) -> int:
@@ -116,10 +110,7 @@ def _cmd_gen(args, out) -> int:
         raise ValueError("--half applies only to the boolean family")
     family = {None: args.family, "left": LEFT_HALF, "right": RIGHT_HALF}[args.half]
     d = SeqDescriptor(family, args.n, args.m)
-    if args.format == "plain":
-        _write_plain(d, out)
-    else:
-        _write_json(d, out)
+    _write(d, args.format, out)
     return 0
 
 
@@ -144,7 +135,7 @@ _POINT_FAMILIES = {
     "farey": (lambda m: SeqDescriptor(FAREY, m),
               {"next": next_in_farey, "prev": prev_in_farey},
               ident.farey_rank, ident.farey_size),
-    "boolean": (lambda m: SeqDescriptor(BOOLEAN, 2 * m, m),
+    "boolean": (_symmetric_boolean,
                 {"next": succ_in_boolean, "prev": pred_in_boolean},
                 ident.farey_boolean_rank, ident.farey_boolean_size),
 }

@@ -44,6 +44,13 @@ def solve_congruence_in_range(
     return lo + (residue_sign * inv - lo) % modulus
 
 
+def _symmetric_boolean(m: int) -> SeqDescriptor:
+    """The descriptor of F(B(2m), m), refusing m < 1 by m, not by n = 2m."""
+    if m < 1:
+        raise ValueError(f"order must be positive, got m={m}")
+    return SeqDescriptor(BOOLEAN, 2 * m, m)
+
+
 def _require_term(f: Frac, family: str, m: int) -> None:
     """Raise unless f is a term of F_m (family farey) or of F(B(2m), m).
 
@@ -57,7 +64,7 @@ def _require_term(f: Frac, family: str, m: int) -> None:
     member = k <= m if family == FAREY else (h <= m and k - h <= m)
     if member:
         return
-    d = SeqDescriptor(FAREY, m) if family == FAREY else SeqDescriptor(BOOLEAN, 2 * m, m)
+    d = SeqDescriptor(FAREY, m) if family == FAREY else _symmetric_boolean(m)
     raise ValueError(f"{f} is not a term of {d}")
 
 

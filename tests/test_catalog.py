@@ -283,3 +283,12 @@ class TestQuarterIndices:
     def test_rejects_degenerate(self):
         with pytest.raises(ValueError):
             quarter_indices(1)
+
+    def test_ratio_is_checked(self, monkeypatch):
+        rank = catalog_module.farey_boolean_rank
+        # one more than the true index of 1/1 breaks the ratio
+        monkeypatch.setattr(catalog_module, "farey_boolean_rank",
+                            lambda h, k, m: rank(h, k, m) + (h == k))
+        with pytest.raises(ArithmeticError,
+                           match=r"quarter indices \[6, 12, 18, 25\] for m=6 are not in ratio"):
+            quarter_indices(6)

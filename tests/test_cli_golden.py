@@ -7,7 +7,7 @@ m <= 0), index, count and map on members, absent fractions and bounds,
 small gen runs of every family and format, and a small verify sweep.
 Usage errors are left out: argparse owns their wording, and
 test_cli.TestUsage covers them.  Any change to a byte of that output
-fails here.
+fails here, and so does a case that builds a sequence.
 
 The README examples run the same way: each `$ fareylattice ...` line,
 with an optional `| head -N`, must print the lines shown under it.
@@ -26,18 +26,10 @@ TRANSCRIPT = json.loads((HERE / "cli_transcript.json").read_text())
 
 
 @pytest.mark.parametrize("case", TRANSCRIPT, ids=[" ".join(c["argv"]) for c in TRANSCRIPT])
-def test_transcript(capsys, case):
+def test_transcript(capsys, no_sequence_built, case):
     status = main(case["argv"])
     captured = capsys.readouterr()
     assert (captured.out, captured.err, status) == (case["stdout"], case["stderr"], case["status"])
-
-
-def test_transcript_builds_no_sequence(capsys, no_sequence_built):
-    for case in TRANSCRIPT:
-        status = main(case["argv"])
-        captured = capsys.readouterr()
-        assert (captured.out, captured.err, status) == \
-            (case["stdout"], case["stderr"], case["status"]), case["argv"]
 
 
 def _readme_examples() -> list[tuple[str, list[str]]]:

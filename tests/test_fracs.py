@@ -88,6 +88,9 @@ class TestParseRender:
     def test_parse_reduces(self):
         assert str(Frac.parse("4/8")) == "1/2"
 
+    def test_repr(self):
+        assert repr(Frac(2, 4)) == "Frac(1, 2)"
+
     @pytest.mark.parametrize("bad", ["", "1", "1/2/3", "a/b", "1.5/2"])
     def test_parse_rejects(self, bad):
         with pytest.raises(ValueError):
@@ -113,6 +116,18 @@ class TestUnimodularMap:
 
     def test_unchecked_construction_allowed(self):
         assert UnimodularMap(-1, 1, 0, 2, check=False).det == -2
+
+    @pytest.mark.parametrize("entries", [(1, 1, 1, 1), (-1, 1, 0, 2)])
+    def test_unchecked_singular_matrix_has_no_inverse(self, entries):
+        with pytest.raises(ValueError, match="has no integer inverse"):
+            UnimodularMap(*entries, check=False).inverse()
+
+    def test_equality_hash_and_repr(self):
+        assert COMPLEMENT.__eq__(object()) is NotImplemented
+        assert COMPLEMENT != object()
+        assert len({COMPLEMENT, UnimodularMap(-1, 1, 0, 1)}) == 1
+        assert hash(COMPLEMENT) == hash(UnimodularMap(-1, 1, 0, 1))
+        assert repr(COMPLEMENT) == "UnimodularMap(-1, 1, 0, 1)"
 
     def test_bad_matrix_fails_loudly_on_apply(self):
         bad = UnimodularMap(-1, 1, 0, 2, check=False)

@@ -295,6 +295,11 @@ class TestSymmetricIdentities:
         with pytest.raises(ValueError):
             symmetric_identities(1)
 
+    def test_pair_sum_rejects_a_nonpositive_form(self):
+        # 2h - k is positive at 2/3 and 0 at 1/2
+        with pytest.raises(ValueError, match="form value 1 or 0 is not positive at 1/2"):
+            identities._pair_sum([(2, 3), (1, 2)], 4, 4, [(identities._H, identities._2H_K)])
+
 
 class TestFareyIdentities:
     def test_m_2_values(self):

@@ -138,6 +138,13 @@ class TestBooleanStepping:
         with pytest.raises(ValueError, match="not a term"):
             succ_in_boolean(Frac(1, 8), 6)
 
+    @pytest.mark.parametrize("step", [succ_in_boolean, pred_in_boolean])
+    @pytest.mark.parametrize("m", [0, -1, -3])
+    def test_rejects_nonpositive_m_by_its_own_name(self, step, m):
+        # not by the order 2m of F(B(2m), m)
+        with pytest.raises(ValueError, match=f"^order must be positive, got m={m}$"):
+            step(Frac(1, 2), m)
+
     @pytest.mark.parametrize("m", [2, 3, 4, 7, 20])
     def test_walk_reproduces_sequence(self, m):
         seq = farey_boolean(2 * m, m).terms

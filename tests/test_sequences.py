@@ -381,3 +381,11 @@ class TestFareySeqInvariants:
         s = farey(3)
         with pytest.raises(AttributeError):
             s.terms = ()
+
+    def test_equality_hash_and_repr(self):
+        s = farey(3)
+        assert s.__eq__(object()) is NotImplemented
+        assert s != object()
+        assert len({s, materialize(SeqDescriptor(FAREY, 3))}) == 1
+        assert repr(s) == "FareySeq(farey(n=3), 5 terms)"
+        assert repr(upper_subsequence(4, 2)) == "FareySeq(upper(n=4, m=2), 6 terms)"
