@@ -151,9 +151,8 @@ def catalog(n: int, m: int) -> list[MapDescriptor]:
 
     The complement map exists for every 0 < m < n.  The rest require the
     symmetric case n = 2m, and the four farey bridges additionally m > 1.
+    SeqDescriptor(BOOLEAN, n, m) refuses any other pair, in its own words.
     """
-    if not 0 < m < n:
-        raise ValueError(f"need 0 < m < n, got n={n}, m={m}")
     level = _ANY if n != 2 * m else _SYMMETRIC if m == 1 else _BRIDGE
     slots = {BOOLEAN: SeqDescriptor(BOOLEAN, n, m), _DUAL: SeqDescriptor(BOOLEAN, n, n - m)}
     if level > _ANY:

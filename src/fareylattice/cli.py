@@ -23,8 +23,9 @@ filter-cardinality), each read from the one lattice scan of that (n, m).
 Each verb is one row of _VERBS.  main builds the parser for the verb it
 runs and nothing else; it builds every verb only when argv does not start
 with a verb name, so that the usage error or help names all of them.  The
-point verbs read their family's row of _POINT_FAMILIES and verify its sweeps
-from _SUITES; the keys of these two tables are the --family and --suite choices.
+point verbs read _POINT_FAMILIES and refuse a bad --m in one wording, through
+sequences._point_sequence; verify reads _SUITES.  The keys of these two
+tables are the --family and --suite choices.
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ from .catalog import (
 )
 from .fracs import Frac
 from .neighbors import (
-    _symmetric_boolean,
     next_in_farey,
     pred_in_boolean,
     prev_in_farey,
@@ -60,6 +60,7 @@ from .sequences import (
     LEFT_HALF,
     RIGHT_HALF,
     SeqDescriptor,
+    _point_sequence,
     iter_pairs,
 )
 
@@ -130,28 +131,26 @@ def _cmd_map(args, out) -> int:
     return 0
 
 
-# point-verb family -> (its sequence at m, its steps by direction, its rank, its size)
+# point-verb family -> (its steps by direction, its rank, its size)
 _POINT_FAMILIES = {
-    "farey": (lambda m: SeqDescriptor(FAREY, m),
-              {"next": next_in_farey, "prev": prev_in_farey},
-              ident.farey_rank, ident.farey_size),
-    "boolean": (_symmetric_boolean,
-                {"next": succ_in_boolean, "prev": pred_in_boolean},
-                ident.farey_boolean_rank, ident.farey_boolean_size),
+    FAREY: ({"next": next_in_farey, "prev": prev_in_farey},
+            ident.farey_rank, ident.farey_size),
+    BOOLEAN: ({"next": succ_in_boolean, "prev": pred_in_boolean},
+              ident.farey_boolean_rank, ident.farey_boolean_size),
 }
 
 
 def _cmd_neighbor(args, out) -> int:
     f = Frac.parse(args.frac)
-    _, steps, _, _ = _POINT_FAMILIES[args.family]
+    steps, _, _ = _POINT_FAMILIES[args.family]
     print(steps[args.dir](f, args.m), file=out)
     return 0
 
 
 def _cmd_index(args, out) -> int:
     f = Frac.parse(args.frac)
-    sequence, _, rank, _ = _POINT_FAMILIES[args.family]
-    d = sequence(args.m)
+    d = _point_sequence(args.family, args.m)
+    _, rank, _ = _POINT_FAMILIES[args.family]
     # ranked before the membership test, so the counting bound holds for every fraction
     i = rank(f.h, f.k, args.m)
     print(i if f in d else "absent", file=out)
@@ -159,7 +158,8 @@ def _cmd_index(args, out) -> int:
 
 
 def _cmd_count(args, out) -> int:
-    *_, size = _POINT_FAMILIES[args.family]
+    _point_sequence(args.family, args.m)  # refuses a bad --m before the size does
+    _, _, size = _POINT_FAMILIES[args.family]
     print(size(args.m), file=out)
     return 0
 
@@ -199,8 +199,8 @@ def _sweep_identities(max_n: int, max_m: int) -> Iterator[Check]:
     # both closed forms read one Moebius sum, so the relation is checked on generated counts
     generated = {}
     for m in range(1, max_m + 1):
-        for family, (sequence, _, _, size) in _POINT_FAMILIES.items():
-            got, want = sum(1 for _ in iter_pairs(sequence(m))), size(m)
+        for family, (_, _, size) in _POINT_FAMILIES.items():
+            got, want = sum(1 for _ in iter_pairs(_point_sequence(family, m))), size(m)
             generated[family, m] = got
             yield (f"size {family} m={m}", got == want, f"generated {got}, closed form {want}")
     for m in range(2, max_m + 1):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from math import gcd
 
 from .fracs import ONE, ZERO, Frac
-from .sequences import BOOLEAN, FAREY, SeqDescriptor
+from .sequences import BOOLEAN, FAREY, _point_sequence
 
 
 def solve_congruence_in_range(
@@ -44,28 +44,19 @@ def solve_congruence_in_range(
     return lo + (residue_sign * inv - lo) % modulus
 
 
-def _symmetric_boolean(m: int) -> SeqDescriptor:
-    """The descriptor of F(B(2m), m), refusing m < 1 by m, not by n = 2m."""
-    if m < 1:
-        raise ValueError(f"order must be positive, got m={m}")
-    return SeqDescriptor(BOOLEAN, 2 * m, m)
-
-
 def _require_term(f: Frac, family: str, m: int) -> None:
-    """Raise unless f is a term of F_m (family farey) or of F(B(2m), m).
+    """Raise unless f is a term of _point_sequence(family, m), which is F_m
+    for family farey and F(B(2m), m) for boolean.
 
     The bounds k <= m, or h <= m and k-h <= m, are tested on (h, k)
-    directly; the descriptor is built only on failure, for its validation
-    of m and its name in the message.  A non-int m raises TypeError.
+    directly, so a term builds no descriptor.  Otherwise _point_sequence
+    refuses a non-int m (TypeError) or m < 1, each by m, and else names
+    the sequence in the message.
     """
-    if not isinstance(m, int):
-        raise TypeError(f"order must be an int, got m={m!r}")
     h, k = f.h, f.k
-    member = k <= m if family == FAREY else (h <= m and k - h <= m)
-    if member:
+    if isinstance(m, int) and (k <= m if family == FAREY else h <= m and k - h <= m):
         return
-    d = SeqDescriptor(FAREY, m) if family == FAREY else _symmetric_boolean(m)
-    raise ValueError(f"{f} is not a term of {d}")
+    raise ValueError(f"{f} is not a term of {_point_sequence(family, m)}")
 
 
 def _farey_step(h: int, k: int, m: int, sign: int) -> tuple[int, int]:

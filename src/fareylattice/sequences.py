@@ -128,6 +128,15 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
         return f"{self.family}(n={self.n}, m={self.m})"
 
 
+def _point_sequence(family: str, m: int) -> SeqDescriptor:
+    """F_m for family farey, else F(B(2m), m); a bad m is refused by m, not by 2m."""
+    if not isinstance(m, int):
+        raise TypeError(f"order must be an int, got m={m!r}")
+    if m < 1:
+        raise ValueError(f"order must be positive, got m={m}")
+    return SeqDescriptor(FAREY, m) if family == FAREY else SeqDescriptor(BOOLEAN, 2 * m, m)
+
+
 class FareySeq:
     """The sequence a descriptor names, as a zero-indexed tuple of Frac terms."""
 
@@ -232,15 +241,11 @@ def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
     next term is t*x1 - x0: each bound's pair (x0, x1) is carried through
     the same recurrence as the terms, and no step multiplies by a
     coefficient.  Every family has one or two bounds, and each count has
-    its own loop; any other count raises ValueError.  Each step keeps
-    h1*k0 - h0*k1 = 1, so every pair is coprime without a gcd.
+    its own loop.  Each step keeps h1*k0 - h0*k1 = 1, so every pair is
+    coprime without a gcd.
     """
     bounds = d.bounds
-    walk = _WALKS.get(len(bounds))
-    if walk is None:
-        raise ValueError(f"family {d.family!r} has {len(bounds)} bounds; "
-                         f"iter_pairs walks one or two")
-    return walk(bounds, _FAMILIES[d.family][1])
+    return _WALKS[len(bounds)](bounds, _FAMILIES[d.family][1])
 
 
 def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:

@@ -68,6 +68,15 @@ class TestCatalogContents:
         with pytest.raises(ValueError):
             catalog(6, 6)
 
+    @pytest.mark.parametrize("n, m", [(12, 0), (12, 12), (5, 7), (0, 0)])
+    def test_refuses_as_the_descriptor_does(self, n, m):
+        # catalog has no guard of its own: its boolean(n, m) slot refuses the pair
+        with pytest.raises(ValueError) as want:
+            SeqDescriptor(BOOLEAN, n, m)
+        with pytest.raises(ValueError) as got:
+            catalog(n, m)
+        assert str(got.value) == str(want.value)
+
     def test_all_matrices_unimodular(self):
         for name in MAP_NAMES:
             assert abs(UnimodularMap(*MATRICES[name]).det) == 1

@@ -312,6 +312,22 @@ class TestIndexCount:
             ident.farey_size(MAX_COUNT_ORDER)
 
 
+class TestPointRefusal:
+    """Every point verb refuses a bad --m in one wording, by m, in both families."""
+
+    @pytest.mark.parametrize("family", ["farey", "boolean"])
+    @pytest.mark.parametrize("verb", [
+        ["neighbor", "--frac", "1/2", "--dir", "next"],
+        ["neighbor", "--frac", "1/2", "--dir", "prev"],
+        ["index", "--frac", "1/2"],
+        ["count"],
+    ], ids=["next", "prev", "index", "count"])
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_m(self, capsys, family, verb, m):
+        rc, out, err = run(capsys, *verb, "--family", family, "--m", str(m))
+        assert (rc, out, err) == (2, "", f"error: order must be positive, got m={m}\n")
+
+
 class TestMap:
     def test_apply_bridge(self, capsys):
         rc, out, _ = run(capsys, "map", "--name", "right-to-farey",

@@ -1,3 +1,5 @@
+from math import gcd
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,13 +7,14 @@ from hypothesis import strategies as st
 from fareylattice import neighbors
 from fareylattice.fracs import Frac
 from fareylattice.neighbors import (
+    _require_term,
     next_in_farey,
     pred_in_boolean,
     prev_in_farey,
     solve_congruence_in_range,
     succ_in_boolean,
 )
-from fareylattice.sequences import farey, farey_boolean
+from fareylattice.sequences import BOOLEAN, FAREY, _point_sequence, farey, farey_boolean
 
 
 class TestCongruenceSolver:
@@ -172,6 +175,28 @@ class TestBooleanStepping:
         i = data.draw(st.integers(0, len(terms) - 2))
         f = terms[i]
         assert pred_in_boolean(succ_in_boolean(f, m), m) == f
+
+
+class TestRequireTerm:
+    """_require_term tests the bounds on (h, k) by hand; the descriptor
+    _point_sequence builds reads them from the _FAMILIES rows.  The two
+    must agree on every fraction."""
+
+    @pytest.mark.parametrize("family", [FAREY, BOOLEAN])
+    @pytest.mark.parametrize("m", range(1, 13))
+    def test_hand_bounds_match_the_family_rows(self, family, m):
+        d = _point_sequence(family, m)
+        for k in range(1, 2 * m + 3):
+            for h in range(k + 1):
+                if gcd(h, k) != 1:
+                    continue
+                f = Frac(h, k)
+                try:
+                    _require_term(f, family, m)
+                except ValueError as exc:
+                    assert f not in d and str(exc) == f"{f} is not a term of {d}"
+                else:
+                    assert f in d
 
 
 class TestStepGuard:

@@ -27,6 +27,7 @@ from fareylattice.sequences import (
     UPPER,
     SeqDescriptor,
     _FAMILIES,
+    _point_sequence,
     farey,
     farey_boolean,
     iter_pairs,
@@ -219,14 +220,6 @@ class TestWalks:
         bounds, _ = _FAMILIES[family]
         assert len(bounds(12, 6)) in (1, 2)
 
-    @pytest.mark.parametrize("count", [0, 3])
-    def test_other_bound_counts_raise(self, monkeypatch, count):
-        _, stretch = _FAMILIES[FAREY]
-        rows = ((0, 1, 5), (1, 0, 5), (-1, 1, 5))
-        monkeypatch.setitem(_FAMILIES, FAREY, (lambda n, m: rows[:count], stretch))
-        with pytest.raises(ValueError, match=f"family 'farey' has {count} bounds"):
-            iter_pairs(SeqDescriptor(FAREY, 5))
-
     def test_bounds_read_once_per_call(self, monkeypatch):
         bounds, stretch = _FAMILIES[UPPER]
         reads = []
@@ -291,6 +284,11 @@ class TestDescriptors:
     def test_unknown_family(self):
         with pytest.raises(ValueError):
             SeqDescriptor("middle", 6, 2)
+
+    @pytest.mark.parametrize("family", [FAREY, BOOLEAN])
+    def test_point_sequence_refuses_a_non_int_m_by_its_name(self, family):
+        with pytest.raises(TypeError, match=r"^order must be an int, got m=2\.0$"):
+            _point_sequence(family, 2.0)
 
     @pytest.mark.parametrize("call", [
         lambda: farey(4.0),
