@@ -20,9 +20,11 @@ pairs with iter_pairs' pairs.  At every (n, m) up to lattice.ENUM_BOUND
 that suite runs all three oracle checks (enumerate, rank-counts and
 filter-cardinality), each read from the one lattice scan of that (n, m).
 
-Each verb is one row of _VERBS.  main builds the parser for the verb it
-runs and nothing else; it builds every verb only when argv does not start
-with a verb name, so that the usage error or help names all of them.  The
+Each verb is one row of _VERBS, which _add_verb adds to a parser.  When
+argv starts with a verb, main parses the rest with that verb's parser alone,
+named as its subparser is: argparse hands a subparser exactly those words,
+so usage, help and errors are the same.  The full parser, with every verb,
+is built only for other argv or for words a verb leaves over.  The
 point verbs read _POINT_FAMILIES and refuse a bad --m in one wording, through
 sequences._point_sequence; verify reads _SUITES.  The keys of these two
 tables are the --family and --suite choices.
@@ -316,34 +318,42 @@ _VERBS = {
 }
 
 
-def build_parser(verb: str | None = None) -> argparse.ArgumentParser:
-    """The CLI parser with every verb, or with only `verb`.
+def _add_verb(parser: argparse.ArgumentParser, verb: str) -> argparse.ArgumentParser:
+    """parser, given the arguments and the handler (as func) of _VERBS[verb]."""
+    _, func, arguments = _VERBS[verb]
+    for flag, keywords in arguments:
+        parser.add_argument(flag, **keywords)
+    parser.set_defaults(func=func)
+    return parser
 
-    A one-verb parser prints the same usage lines and errors for that verb
-    as the full one: its subcommand metavar still lists every verb.
-    """
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser with every verb, one subparser each."""
     parser = argparse.ArgumentParser(
         prog="fareylattice",
         description="Exact Farey sequences, their subset-lattice subsequences, "
                     "and the verified bijections between them.",
     )
-    sub = parser.add_subparsers(
-        dest="verb", required=True,
-        metavar=None if verb is None else "{" + ",".join(_VERBS) + "}")
-    for name in _VERBS if verb is None else [verb]:
-        help_text, func, arguments = _VERBS[name]
-        verb_parser = sub.add_parser(name, help=help_text)
-        for flag, keywords in arguments:
-            verb_parser.add_argument(flag, **keywords)
-        verb_parser.set_defaults(func=func)
+    sub = parser.add_subparsers(dest="verb", required=True)
+    for name, (help_text, _, _) in _VERBS.items():
+        _add_verb(sub.add_parser(name, help=help_text), name)
     return parser
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """The arguments argv names.  A verb's own words are parsed by that verb's
+    parser alone, as the full parser's subparser would parse them; anything
+    else, and a verb's leftover words, go to the full parser."""
+    if argv and argv[0] in _VERBS:
+        parser = _add_verb(argparse.ArgumentParser(prog=f"fareylattice {argv[0]}"), argv[0])
+        args, extra = parser.parse_known_args(argv[1:])
+        if not extra:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    if argv is None:
-        argv = sys.argv[1:]
-    verb = argv[0] if argv and argv[0] in _VERBS else None
-    args = build_parser(verb).parse_args(argv)
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         rc = args.func(args, sys.stdout)
         sys.stdout.flush()

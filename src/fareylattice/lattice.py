@@ -11,12 +11,13 @@ Each (n, m) is scanned once, into a histogram of (|B & A|, |B|) cells
 that the enumeration, the rank-slice counts and the filter cardinality all
 read, so all three accept every 0 < m < n <= ENUM_BOUND and verify's oracle
 suite runs each of them at every such (n, m).  The scan gives every word a
-one-byte code for its cell and counts the codes in C byte operations, 64
-KiB of words at a time.  No cell is taken from a binomial, and no cell is
-a product of two smaller histograms: C(m, j) * C(n-m, l-j) is the identity
-the scan is there to check, so a scan that assumed it would check nothing.
-A scan keeps no per-word buffer beyond one 64 KiB table and one 64 KiB
-block.
+one-byte code for its cell and counts the codes in C byte operations, up
+to 64 KiB of words at a time.  No cell is taken from a binomial, and no
+cell is a product of two smaller histograms: C(m, j) * C(n-m, l-j) is the
+identity the scan is there to check, so a scan that assumed it would check
+nothing.
+A scan keeps no per-word buffer beyond one table and one block, each of
+at most 64 KiB.
 """
 
 from __future__ import annotations
@@ -47,27 +48,30 @@ def _intersection_histogram(n: int, m: int) -> dict[tuple[int, int], int]:
     Every word w gets a one-byte code for its own cell: each marked bit
     adds width = n-m+1 and each unmarked bit adds 1, so the code is
     width*j + (l-j).  Codes stay below (n/2 + 1)^2, so for n <= ENUM_BOUND
-    each fits in a byte.  The codes of the low min(n, 16) bits come from
-    doubling a table, once per bit, by appending it translated by that
-    bit's weight.  The words are then walked in blocks of len(table); a
-    block is the table translated by the weight of its first word's high
-    bits, which holds the code of every word in the block, and each code a
-    block can hold is counted there with bytes.count, so every word is
-    counted under its own code.  No cell comes from C(m, j) * C(n-m, l-j),
-    over the whole set or over its split into table and high bits, and no
-    block reuses the table's counts: the scan is there to check that
-    product rule, so it cannot assume it.
+    each fits in a byte.  A word's low bits are the larger kind's, k of
+    them: its marked bits are its low m bits when m >= n - m and its high m
+    bits otherwise.  The codes of the low t = min(16, k) bits, all of one
+    kind, come from doubling a table, once per bit, by appending it
+    translated by that kind's weight, so the table holds t + 1 codes.  The
+    words are then walked in blocks of len(table); a block is the table
+    translated by the code of its first word's high bits, which holds the
+    code of every word in the block, and each of its t + 1 codes is counted
+    there with bytes.count, so every word is counted under its own code.
+    No cell comes from C(m, j) * C(n-m, l-j), over the whole set or over
+    its split into table and high bits, and no block reuses the table's
+    counts: the scan is there to check that product rule, so it cannot
+    assume it.
     """
     words = range(1 << n)
     width = n - m + 1
-    low = min(n, 16)
-    marked_low = min(m, low)
+    marked_first = m >= n - m
+    weight = width if marked_first else 1
+    t = min(16, max(m, n - m))
     table = b"\0"
-    for weight in [width] * marked_low + [1] * (low - marked_low):
+    for _ in _SHIFT[:t]:
         table += table.translate(_SHIFT[weight:] + _SHIFT[:weight])
-    # the table's codes: width*j + u with j <= marked_low, u <= low - marked_low
-    codes = [c for c in _SHIFT[: table[-1] + 1] if c % width <= low - marked_low]
-    marked = (1 << m) - 1
+    codes = _SHIFT[: weight * t + 1 : weight]
+    marked = (1 << m) - 1 if marked_first else ((1 << m) - 1) << (n - m)
     counts = [0] * len(_SHIFT)
     for start in words[:: len(table)]:
         shift = (width - 1) * (start & marked).bit_count() + start.bit_count()

@@ -1,3 +1,4 @@
+import contextlib
 import hashlib
 import io
 import json
@@ -5,8 +6,11 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fareylattice import cli
 from fareylattice import identities as ident
@@ -504,6 +508,29 @@ class TestNoSequenceBuilt:
             assert json.loads(out)["terms"] == [[h, k] for h, k in pairs], argv
 
 
+# argv words for the parser property: every verb and flag, good and bad values,
+# help, "--", "--flag=value", abbreviations and words no verb takes
+_VERB_FLAGS = sorted({flag for _, _, arguments in cli._VERBS.values() for flag, _ in arguments})
+_ARGV_VALUES = ["farey", "boolean", "upper", "cantor", "3", "12", "0", "-1", "x", "1/3",
+                "x/y", "next", "up", "json", "left", "all", "oracle", "right-to-farey"]
+# one well-formed argv per verb
+_WELL_FORMED = [
+    ["gen", "--family", "farey", "--n", "5"],
+    ["map", "--name", "right-to-farey", "--n", "12", "--m", "6", "--frac", "4/7"],
+    ["neighbor", "--family", "farey", "--m", "150", "--frac", "2/5", "--dir", "next"],
+    ["index", "--m", "6", "--frac", "1/3"],
+    ["count", "--family", "boolean", "--m", "6"],
+    ["verify", "--suite", "partition", "--max-n", "4", "--max-m", "2"],
+]
+_ARGV_TOKEN = st.one_of(
+    st.sampled_from([*cli._VERBS, *_VERB_FLAGS, *_ARGV_VALUES,
+                     "-h", "--help", "--", "extra", "--bogus", "-x"]),
+    st.builds(lambda flag, value: f"{flag}={value}",
+              st.sampled_from(_VERB_FLAGS), st.sampled_from(_ARGV_VALUES)),
+    st.builds(lambda flag, cut: flag[:cut], st.sampled_from(_VERB_FLAGS), st.integers(3, 6)),
+)
+
+
 class TestUsage:
     def test_no_verb(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -540,12 +567,34 @@ class TestUsage:
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][1] or outcomes[0][2]
 
-    def test_one_verb_parser_registers_one_verb(self, capsys):
-        parser = cli.build_parser("count")
-        assert parser.parse_args(["count", "--family", "farey", "--m", "3"]).func is cli._cmd_count
-        with pytest.raises(SystemExit):
-            parser.parse_args(["gen", "--family", "farey", "--n", "3"])
-        assert "invalid choice: 'gen'" in capsys.readouterr().err
+    def test_verb_argv_never_builds_the_full_parser(self, capsys, monkeypatch):
+        def refuse():
+            raise AssertionError("the full parser was built")
+
+        monkeypatch.setattr(cli, "build_parser", refuse)
+        assert [argv[0] for argv in _WELL_FORMED] == list(cli._VERBS)
+        for argv in _WELL_FORMED:
+            rc, out, err = run(capsys, *argv)
+            assert rc == 0 and out and err == "", argv
+
+    @given(st.one_of(st.just([]), st.sampled_from([[verb] for verb in cli._VERBS]),
+                     st.sampled_from(_WELL_FORMED)),
+           st.lists(_ARGV_TOKEN, max_size=8))
+    @settings(max_examples=400, deadline=None)
+    def test_verb_parser_matches_full_parser_on_any_argv(self, head, rest):
+        argv = head + rest
+        outcomes = []
+        for parse in (cli._parse, lambda argv: cli.build_parser().parse_args(argv)):
+            out, err = io.StringIO(), io.StringIO()
+            with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                try:
+                    args = vars(parse(argv))
+                    args.pop("verb", None)
+                    outcomes.append(args)
+                except SystemExit as exc:
+                    outcomes.append((exc.code, out.getvalue(), err.getvalue()))
+        assert outcomes[0] == outcomes[1], argv
 
     def test_bad_fraction_text(self, capsys):
         rc, _, err = run(capsys, "neighbor", "--family", "farey", "--m", "6",

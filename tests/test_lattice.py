@@ -133,7 +133,7 @@ class TestOneScan:
 
 class TestScan:
     @pytest.mark.parametrize("n,m", [(n, m) for n in range(2, 15) for m in range(1, n)]
-                             + [(17, 1), (18, 5), (20, 10), (20, 19), (17, 16), (18, 17)])
+                             + [(17, 1), (18, 5), (20, 10), (20, 19), (17, 16), (18, 17), (18, 1), (19, 2)])
     def test_histogram_equals_per_word_count(self, n, m):
         assert lattice._intersection_histogram(n, m) == brute_intersection_histogram(n, m)
 
