@@ -14,17 +14,17 @@ Eleven maps, each a 2x2 integer matrix acting on h/k as a column vector:
   right-to-farey   right half    -> farey(m)         (k-h)/h      reversing
   farey-to-right   farey(m)      -> right half       k/(k+h)      reversing
 
-All but the first require n = 2m; the four farey bridges require m > 1.
-The matrices are in MATRICES and everything else about a map is one row of
-_MAPS, from which catalog() builds its descriptors.  Each map is checked two
-ways: extensionally, by mapping every (h, k) pair iter_pairs generates for
-the domain and comparing the images, in order, with the codomain's pairs,
-and intensionally, through determinant, involution, and inverse-pair
-identities on the matrices themselves.  verify_catalog generates each
-endpoint once per call and shares its pair list, read-only, among the maps
-that read it.  Descriptors, counterexamples and reports are named tuples:
-verify_map gathers its checks first and then builds the one report it
-returns.
+A map applies when both its endpoint sequences exist: complement for
+every 0 < m < n, the rest when n = 2m, from m = 1.  The matrices are in
+MATRICES; everything else about a map is one row of _MAPS, from which
+catalog() builds its descriptors.  Each map is checked two ways:
+extensionally, by mapping every (h, k) pair iter_pairs generates for the
+domain and comparing the images, in order, with the codomain's pairs, and
+intensionally, through determinant, involution, and inverse-pair identities
+on the matrices themselves.  verify_catalog generates each endpoint once per
+call and shares its pair list, read-only, among the maps that read it.
+Descriptors, counterexamples and reports are named tuples: verify_map
+gathers its checks first and then builds the one report it returns.
 """
 
 from __future__ import annotations
@@ -75,27 +75,24 @@ MATRICES: dict[str, tuple[int, int, int, int]] = {
 
 MAP_NAMES = tuple(MATRICES)
 
-# A row names its endpoints by slot: BOOLEAN is boolean(n, m), which is the
-# symmetric sequence when n = 2m, LEFT_HALF and RIGHT_HALF are its halves,
-# FAREY is farey(m) and _DUAL is boolean(n, n - m).
-_DUAL = "dual"
+# A row names its endpoints by slot: BOOLEAN is boolean(n, m), _DUAL is
+# boolean(n, n - m), and when n = 2m, _SYMMETRIC is boolean(n, m) again,
+# LEFT_HALF and RIGHT_HALF are its halves and FAREY is farey(m).
+_DUAL, _SYMMETRIC = "dual", "symmetric"
 
-# What a map needs beyond 0 < m < n; each level includes the ones before.
-_ANY, _SYMMETRIC, _BRIDGE = 0, 1, 2  # _SYMMETRIC is n = 2m, _BRIDGE adds m > 1
-
-# name -> (domain, codomain, direction, the map that undoes it, when it applies)
+# name -> (domain, codomain, direction, the map that undoes it)
 _MAPS = {
-    COMPLEMENT: (BOOLEAN, _DUAL, REVERSING, COMPLEMENT, _ANY),
-    FAREY_REVERSAL: (FAREY, FAREY, REVERSING, FAREY_REVERSAL, _SYMMETRIC),
-    SYM_COMPLEMENT: (BOOLEAN, BOOLEAN, REVERSING, SYM_COMPLEMENT, _SYMMETRIC),
-    LEFT_FLIP: (LEFT_HALF, LEFT_HALF, REVERSING, LEFT_FLIP, _SYMMETRIC),
-    RIGHT_FLIP: (RIGHT_HALF, RIGHT_HALF, REVERSING, RIGHT_FLIP, _SYMMETRIC),
-    LEFT_TO_RIGHT: (LEFT_HALF, RIGHT_HALF, PRESERVING, RIGHT_TO_LEFT, _SYMMETRIC),
-    RIGHT_TO_LEFT: (RIGHT_HALF, LEFT_HALF, PRESERVING, LEFT_TO_RIGHT, _SYMMETRIC),
-    LEFT_TO_FAREY: (LEFT_HALF, FAREY, PRESERVING, FAREY_TO_LEFT, _BRIDGE),
-    FAREY_TO_LEFT: (FAREY, LEFT_HALF, PRESERVING, LEFT_TO_FAREY, _BRIDGE),
-    RIGHT_TO_FAREY: (RIGHT_HALF, FAREY, REVERSING, FAREY_TO_RIGHT, _BRIDGE),
-    FAREY_TO_RIGHT: (FAREY, RIGHT_HALF, REVERSING, RIGHT_TO_FAREY, _BRIDGE),
+    COMPLEMENT: (BOOLEAN, _DUAL, REVERSING, COMPLEMENT),
+    FAREY_REVERSAL: (FAREY, FAREY, REVERSING, FAREY_REVERSAL),
+    SYM_COMPLEMENT: (_SYMMETRIC, _SYMMETRIC, REVERSING, SYM_COMPLEMENT),
+    LEFT_FLIP: (LEFT_HALF, LEFT_HALF, REVERSING, LEFT_FLIP),
+    RIGHT_FLIP: (RIGHT_HALF, RIGHT_HALF, REVERSING, RIGHT_FLIP),
+    LEFT_TO_RIGHT: (LEFT_HALF, RIGHT_HALF, PRESERVING, RIGHT_TO_LEFT),
+    RIGHT_TO_LEFT: (RIGHT_HALF, LEFT_HALF, PRESERVING, LEFT_TO_RIGHT),
+    LEFT_TO_FAREY: (LEFT_HALF, FAREY, PRESERVING, FAREY_TO_LEFT),
+    FAREY_TO_LEFT: (FAREY, LEFT_HALF, PRESERVING, LEFT_TO_FAREY),
+    RIGHT_TO_FAREY: (RIGHT_HALF, FAREY, REVERSING, FAREY_TO_RIGHT),
+    FAREY_TO_RIGHT: (FAREY, RIGHT_HALF, REVERSING, RIGHT_TO_FAREY),
 }
 
 
@@ -147,24 +144,24 @@ def _mat(name: str) -> UnimodularMap:
 
 
 def catalog(n: int, m: int) -> list[MapDescriptor]:
-    """All catalog maps applicable to the pair (n, m), one per row of _MAPS.
+    """The catalog maps whose endpoint sequences exist at (n, m), in _MAPS order.
 
-    The complement map exists for every 0 < m < n.  The rest require the
-    symmetric case n = 2m, and the four farey bridges additionally m > 1.
+    boolean(n, m) and boolean(n, n - m) exist for every 0 < m < n; the
+    symmetric slot, the halves and farey(m) only when n = 2m, from m = 1.
     SeqDescriptor(BOOLEAN, n, m) refuses any other pair, in its own words.
     """
-    level = _ANY if n != 2 * m else _SYMMETRIC if m == 1 else _BRIDGE
     slots = {BOOLEAN: SeqDescriptor(BOOLEAN, n, m), _DUAL: SeqDescriptor(BOOLEAN, n, n - m)}
-    if level > _ANY:
-        slots.update({LEFT_HALF: SeqDescriptor(LEFT_HALF, n, m),
+    if n == 2 * m:
+        slots.update({_SYMMETRIC: slots[BOOLEAN],
+                      LEFT_HALF: SeqDescriptor(LEFT_HALF, n, m),
                       RIGHT_HALF: SeqDescriptor(RIGHT_HALF, n, m),
                       FAREY: SeqDescriptor(FAREY, m)})
     return [
         MapDescriptor(name, _mat(name), slots[domain], slots[codomain], direction,
                       involution=partner == name,
                       inverse_of=None if partner == name else partner)
-        for name, (domain, codomain, direction, partner, needs) in _MAPS.items()
-        if needs <= level
+        for name, (domain, codomain, direction, partner) in _MAPS.items()
+        if domain in slots and codomain in slots
     ]
 
 
@@ -298,7 +295,7 @@ def quarter_indices(m: int) -> tuple[int, int, int, int]:
     (identities.farey_boolean_rank), so no sequence is built and no map of
     this catalog is used.
     """
-    if m <= 1:
+    if m <= 1:  # 1/3 is not a term of boolean(2, 1)
         raise ValueError(f"quarter indices need m > 1, got {m}")
     idx = [farey_boolean_rank(h, k, m) for h, k in ((1, 3), (1, 2), (2, 3), (1, 1))]
     t13, t12, t23, t11 = idx

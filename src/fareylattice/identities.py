@@ -367,9 +367,8 @@ def symmetric_identities(m: int) -> list[IdentityReport]:
     Left of 1/2 the summand is C(m, s*(k-h)) * (C(m, s*h) [+ C(m, s*(k-2h))]);
     right of 1/2 the roles of h and k-h swap and the thirds term uses 2h-k.
     The stretches are split by cross-multiplication: h/k < 1/2 is 2h < k.
+    They hold from m = 1; the descriptor, built first, refuses m < 1.
     """
-    if m <= 1:
-        raise ValueError(f"identities need m > 1, got {m}")
     interior = _interior(SeqDescriptor(BOOLEAN, 2 * m, m))
     halves_rhs, cross = _halves_and_cross(m)
     below = [(h, k) for h, k in interior if 2 * h < k]
@@ -400,9 +399,8 @@ def farey_identities(m: int) -> list[IdentityReport]:
     farey-halves:   with summand C(m,s*k)*(C(m,s*h) + C(m,s*(k-h))) the
                     sums over (0,1/2) and (1/2,1) agree and equal the
                     interior value minus sum_t C(m,2t)*C(m,t).
+    They hold from m = 1; the descriptor, built first, refuses m < 1.
     """
-    if m <= 1:
-        raise ValueError(f"identities need m > 1, got {m}")
     interior = _interior(SeqDescriptor(FAREY, m))
     interior_rhs, cross = _halves_and_cross(m)
     paired = [(_K, _H), (_K, _K_H)]

@@ -54,10 +54,21 @@ class TestCatalogContents:
     def test_asymmetric_case_has_complement_only(self):
         assert [d.name for d in catalog(12, 5)] == [COMPLEMENT]
 
-    def test_degenerate_m_drops_farey_bridges(self):
-        names = {d.name for d in catalog(2, 1)}
-        assert names == {COMPLEMENT, FAREY_REVERSAL, SYM_COMPLEMENT,
-                         LEFT_FLIP, RIGHT_FLIP, LEFT_TO_RIGHT, RIGHT_TO_LEFT}
+    def test_m_equals_one_has_all_maps(self):
+        # every endpoint exists at (2, 1), so the four farey bridges apply too
+        maps = catalog(2, 1)
+        assert [d.name for d in maps] == list(MAP_NAMES)
+        bridge = maps[MAP_NAMES.index(LEFT_TO_FAREY)]
+        assert bridge.domain == SeqDescriptor(LEFT_HALF, 2, 1)
+        assert bridge.codomain == SeqDescriptor(FAREY, 1)
+        with pytest.raises(ValueError):
+            catalog(0, 0)
+
+    @pytest.mark.parametrize("n", range(2, 17))
+    def test_maps_apply_where_their_endpoints_exist(self, n):
+        for m in range(1, n):
+            names = [d.name for d in catalog(n, m)]
+            assert names == (list(MAP_NAMES) if n == 2 * m else [COMPLEMENT]), (n, m)
 
     def test_complement_endpoints(self):
         d = catalog(12, 5)[0]

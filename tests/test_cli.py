@@ -415,6 +415,22 @@ class TestVerify:
                          "--max-n", "8", "--max-m", "6")
         assert rc == 0 and out.splitlines()[-1].startswith("PASS")
 
+    def test_totient_chain_checks_every_h(self, monkeypatch):
+        # a chain check that skipped some h would still print PASS, so record what each one compares
+        calls = []
+        phi = ident.phi_interval
+        monkeypatch.setattr(ident, "phi_interval",
+                            lambda h, i, l: calls.append((h, i, l)) or phi(h, i, l))
+        checked = []
+        for label, ok, _ in cli._sweep_identities(2, 7):
+            if label.startswith("totient chain m="):
+                m = int(label.rpartition("=")[2])
+                want = [c for h in range(1, m + 1) for c in ((h, 2 * h + 1, h + m), (h, h + 1, m))]
+                assert ok and sorted(calls) == sorted(want), label
+                checked.append(m)
+            calls.clear()
+        assert checked == list(range(2, 8))
+
     def test_all_suites_listing_is_pinned(self, capsys):
         # every check label, in order, of the default-scale full sweep
         rc, out, err = run(capsys, "verify", "--suite", "all")

@@ -273,6 +273,13 @@ class TestFilterPartition:
 
 
 class TestSymmetricIdentities:
+    def test_m_1_values(self):
+        # boolean(2, 1) is 0/1, 1/2, 1/1: only 1/2 is interior, and it splits the halves
+        full, halves, thirds = symmetric_identities(1)
+        assert full.lhs == [1] and full.rhs == 1
+        assert halves.lhs == [0, 0] and halves.rhs == 0
+        assert thirds.lhs == [0, 0, 0, 0] and thirds.rhs == 0
+
     def test_m_2_values(self):
         full, halves, thirds = symmetric_identities(2)
         assert full.lhs == [9] and full.rhs == 9
@@ -292,8 +299,10 @@ class TestSymmetricIdentities:
             assert len(set(r.lhs)) == 1  # the stated sums agree among themselves
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            symmetric_identities(1)
+        # refused by the boolean(2m, m) descriptor the identities are summed over
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="order must be positive"):
+                symmetric_identities(m)
 
     def test_pair_sum_rejects_a_nonpositive_form(self):
         # 2h - k is positive at 2/3 and 0 at 1/2
@@ -302,6 +311,12 @@ class TestSymmetricIdentities:
 
 
 class TestFareyIdentities:
+    def test_m_1_values(self):
+        # F_1 is 0/1, 1/1: no interior term, so every sum is empty
+        interior, halves = farey_identities(1)
+        assert interior.lhs == [0] and interior.rhs == 0
+        assert halves.lhs == [0, 0] and halves.rhs == 0
+
     def test_m_2_values(self):
         interior, halves = farey_identities(2)
         assert interior.lhs == [2] and interior.rhs == 2
@@ -318,8 +333,10 @@ class TestFareyIdentities:
             assert r.passed, str(r)
 
     def test_rejects_degenerate(self):
-        with pytest.raises(ValueError):
-            farey_identities(1)
+        # refused by the farey(m) descriptor the identities are summed over
+        for m in (0, -1):
+            with pytest.raises(ValueError, match="order must be positive"):
+                farey_identities(m)
 
 
 class TestReportShape:

@@ -257,6 +257,8 @@ class TestIndexing:
 
     def test_absent(self):
         assert farey(6).index_of(Frac(5, 7)) is None
+        # the left half ends at 1/2, so 2/3 bisects to one past its last term
+        assert left_half(farey_boolean(12, 6)).index_of(Frac(2, 3)) is None
 
     def test_contains(self):
         assert Frac(3, 8) in farey_boolean(12, 6)
