@@ -24,8 +24,10 @@ Each verb is one row of _VERBS, which _add_verb adds to a parser.  When
 argv starts with a verb, main parses the rest with that verb's parser alone,
 named as its subparser is: argparse hands a subparser exactly those words,
 so usage, help and errors are the same.  The full parser, with every verb,
-is built only for other argv or for words a verb leaves over.  The
-point verbs read _POINT_FAMILIES and refuse a bad --m in one wording, through
+is built only for other argv or for words a verb leaves over.  `neighbor`
+takes its one step from neighbors._neighbor, --dir next as sign -1 and prev
+as +1; `index` and `count` read the family's rank and size from
+_POINT_FAMILIES.  Each point verb refuses a bad --m in one wording, through
 sequences._point_sequence; verify reads _SUITES.  The keys of these two
 tables are the --family and --suite choices.
 """
@@ -50,12 +52,7 @@ from .catalog import (
     verify_map,
 )
 from .fracs import Frac
-from .neighbors import (
-    next_in_farey,
-    pred_in_boolean,
-    prev_in_farey,
-    succ_in_boolean,
-)
+from .neighbors import _neighbor
 from .sequences import (
     BOOLEAN,
     FAREY,
@@ -133,26 +130,23 @@ def _cmd_map(args, out) -> int:
     return 0
 
 
-# point-verb family -> (its steps by direction, its rank, its size)
+# point-verb family -> (its rank, its size)
 _POINT_FAMILIES = {
-    FAREY: ({"next": next_in_farey, "prev": prev_in_farey},
-            ident.farey_rank, ident.farey_size),
-    BOOLEAN: ({"next": succ_in_boolean, "prev": pred_in_boolean},
-              ident.farey_boolean_rank, ident.farey_boolean_size),
+    FAREY: (ident.farey_rank, ident.farey_size),
+    BOOLEAN: (ident.farey_boolean_rank, ident.farey_boolean_size),
 }
 
 
 def _cmd_neighbor(args, out) -> int:
     f = Frac.parse(args.frac)
-    steps, _, _ = _POINT_FAMILIES[args.family]
-    print(steps[args.dir](f, args.m), file=out)
+    print(_neighbor(f, args.m, args.family, -1 if args.dir == "next" else 1), file=out)
     return 0
 
 
 def _cmd_index(args, out) -> int:
     f = Frac.parse(args.frac)
     d = _point_sequence(args.family, args.m)
-    _, rank, _ = _POINT_FAMILIES[args.family]
+    rank, _ = _POINT_FAMILIES[args.family]
     # ranked before the membership test, so the counting bound holds for every fraction
     i = rank(f.h, f.k, args.m)
     print(i if f in d else "absent", file=out)
@@ -161,7 +155,7 @@ def _cmd_index(args, out) -> int:
 
 def _cmd_count(args, out) -> int:
     _point_sequence(args.family, args.m)  # refuses a bad --m before the size does
-    _, _, size = _POINT_FAMILIES[args.family]
+    _, size = _POINT_FAMILIES[args.family]
     print(size(args.m), file=out)
     return 0
 
@@ -201,7 +195,7 @@ def _sweep_identities(max_n: int, max_m: int) -> Iterator[Check]:
     # both closed forms read one Moebius sum, so the relation is checked on generated counts
     generated = {}
     for m in range(1, max_m + 1):
-        for family, (_, _, size) in _POINT_FAMILIES.items():
+        for family, (_, size) in _POINT_FAMILIES.items():
             got, want = sum(1 for _ in iter_pairs(_point_sequence(family, m))), size(m)
             generated[family, m] = got
             yield (f"size {family} m={m}", got == want, f"generated {got}, closed form {want}")

@@ -27,7 +27,7 @@ from math import comb, gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .sequences import BOOLEAN, FAREY, MAX_COUNT_ORDER, SeqDescriptor, iter_pairs
+from .sequences import BOOLEAN, FAREY, MAX_COUNT_ORDER, SeqDescriptor, _point_sequence, iter_pairs
 
 
 def mobius(d: int) -> int:
@@ -367,9 +367,10 @@ def symmetric_identities(m: int) -> list[IdentityReport]:
     Left of 1/2 the summand is C(m, s*(k-h)) * (C(m, s*h) [+ C(m, s*(k-2h))]);
     right of 1/2 the roles of h and k-h swap and the thirds term uses 2h-k.
     The stretches are split by cross-multiplication: h/k < 1/2 is 2h < k.
-    They hold from m = 1; the descriptor, built first, refuses m < 1.
+    They hold from m = 1; sequences._point_sequence, called first, refuses
+    a non-int m or m < 1, naming m.
     """
-    interior = _interior(SeqDescriptor(BOOLEAN, 2 * m, m))
+    interior = _interior(_point_sequence(BOOLEAN, m))
     halves_rhs, cross = _halves_and_cross(m)
     below = [(h, k) for h, k in interior if 2 * h < k]
     above = [(h, k) for h, k in interior if 2 * h > k]
@@ -399,9 +400,10 @@ def farey_identities(m: int) -> list[IdentityReport]:
     farey-halves:   with summand C(m,s*k)*(C(m,s*h) + C(m,s*(k-h))) the
                     sums over (0,1/2) and (1/2,1) agree and equal the
                     interior value minus sum_t C(m,2t)*C(m,t).
-    They hold from m = 1; the descriptor, built first, refuses m < 1.
+    They hold from m = 1; sequences._point_sequence, called first, refuses
+    a non-int m or m < 1, naming m.
     """
-    interior = _interior(SeqDescriptor(FAREY, m))
+    interior = _interior(_point_sequence(FAREY, m))
     interior_rhs, cross = _halves_and_cross(m)
     paired = [(_K, _H), (_K, _K_H)]
     return [

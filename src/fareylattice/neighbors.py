@@ -1,12 +1,15 @@
 """Constant-time neighbor formulas for Farey-type sequences.
 
-Every step is one F_m step: for h/k in the order-m Farey sequence, the
-unique x0 with h*x0 = -1 (mod k) in the window [m-k+1, m] gives the
-successor ((h*x0+1)/k) / x0, and the +1 congruence gives the predecessor
-the same way.  The symmetric subsequence F(B(2m), m) splits at 1/2 into
-halves in monotone bijection with F_m.  On its left half, h/k steps as
-its F_m image h/(k-h) does, carried back by p/q -> p/(p+q); that is the
-paper's congruence with modulus k-h.  On its right half, the paper
+One step, _neighbor, serves both point families and both directions: it
+checks that f is a term, refuses the step past an endpoint, and makes one
+F_m step.  The four public functions each call it once.  For h/k in the
+order-m Farey sequence, the unique x0 with h*x0 = -1 (mod k) in the
+window [m-k+1, m] gives the successor ((h*x0+1)/k) / x0, and the +1
+congruence gives the predecessor the same way.  The symmetric subsequence
+F(B(2m), m) splits at 1/2 into halves in monotone bijection with F_m, and
+a step is taken in the half that continues past f.  On its left half, h/k
+steps as its F_m image h/(k-h) does, carried back by p/q -> p/(p+q); that
+is the paper's congruence with modulus k-h.  On its right half, the paper
 conjugates through the order-reversing complement h/k -> (k-h)/k, which
 swaps the halves and exchanges predecessor with successor.  m = 1 needs
 no case of its own: its windows hold the one integer 1.
@@ -16,7 +19,7 @@ from __future__ import annotations
 
 from math import gcd
 
-from .fracs import ONE, ZERO, Frac
+from .fracs import Frac
 from .sequences import BOOLEAN, FAREY, _point_sequence
 
 
@@ -46,7 +49,7 @@ def solve_congruence_in_range(
 
 def _require_term(f: Frac, family: str, m: int) -> None:
     """Raise unless f is a term of _point_sequence(family, m), which is F_m
-    for family farey and F(B(2m), m) for boolean.
+    for family farey and F(B(2m), m) for boolean.  _neighbor's one check.
 
     The bounds k <= m, or h <= m and k-h <= m, are tested on (h, k)
     directly, so a term builds no descriptor.  Otherwise _point_sequence
@@ -74,10 +77,18 @@ def _farey_step(h: int, k: int, m: int, sign: int) -> tuple[int, int]:
     return p, x0
 
 
-def _boolean_step(f: Frac, m: int, sign: int, left: bool) -> Frac:
-    """One step from f inside F(B(2m), m), by an F_m step of its half's image."""
+def _neighbor(f: Frac, m: int, family: str, sign: int) -> Frac:
+    """The term next to f in _point_sequence(family, m): sign -1 the
+    successor, +1 the predecessor."""
+    _require_term(f, family, m)
     h, k = f.h, f.k
-    if left:
+    # f is reduced with 0 <= h <= k, so h == k is 1/1 and h == 0 is 0/1
+    if h == (k if sign < 0 else 0):
+        raise ValueError("1/1 has no successor" if sign < 0 else "0/1 has no predecessor")
+    if family == FAREY:
+        return Frac._coprime(*_farey_step(h, k, m, sign))
+    # the half that continues past f: forward from 1/2 is the right, back the left
+    if 2 * h < k + (sign > 0):
         p, q = _farey_step(h, k - h, m, sign)
         return Frac._coprime(p, p + q)
     # the complement (k-h)/k steps the other way on the left; complement back
@@ -87,31 +98,19 @@ def _boolean_step(f: Frac, m: int, sign: int, left: bool) -> Frac:
 
 def next_in_farey(f: Frac, m: int) -> Frac:
     """Immediate successor of f in the Farey sequence of order m."""
-    _require_term(f, FAREY, m)
-    if f == ONE:
-        raise ValueError("1/1 has no successor")
-    return Frac._coprime(*_farey_step(f.h, f.k, m, -1))
+    return _neighbor(f, m, FAREY, -1)
 
 
 def prev_in_farey(f: Frac, m: int) -> Frac:
     """Immediate predecessor of f in the Farey sequence of order m."""
-    _require_term(f, FAREY, m)
-    if f == ZERO:
-        raise ValueError("0/1 has no predecessor")
-    return Frac._coprime(*_farey_step(f.h, f.k, m, 1))
+    return _neighbor(f, m, FAREY, 1)
 
 
 def succ_in_boolean(f: Frac, m: int) -> Frac:
     """Immediate successor of f in F(B(2m), m)."""
-    _require_term(f, BOOLEAN, m)
-    if f == ONE:
-        raise ValueError("1/1 has no successor")
-    return _boolean_step(f, m, -1, 2 * f.h < f.k)
+    return _neighbor(f, m, BOOLEAN, -1)
 
 
 def pred_in_boolean(f: Frac, m: int) -> Frac:
     """Immediate predecessor of f in F(B(2m), m)."""
-    _require_term(f, BOOLEAN, m)
-    if f == ZERO:
-        raise ValueError("0/1 has no predecessor")
-    return _boolean_step(f, m, 1, 2 * f.h <= f.k)
+    return _neighbor(f, m, BOOLEAN, 1)

@@ -17,6 +17,7 @@ from fareylattice import identities as ident
 from fareylattice.catalog import MATRICES, SYM_COMPLEMENT
 from fareylattice.cli import main
 from fareylattice.fracs import Frac
+from fareylattice.neighbors import next_in_farey, pred_in_boolean, prev_in_farey, succ_in_boolean
 from fareylattice.sequences import (
     BOOLEAN,
     FAREY,
@@ -26,6 +27,7 @@ from fareylattice.sequences import (
     RIGHT_HALF,
     UPPER,
     SeqDescriptor,
+    _point_sequence,
     farey,
     farey_boolean,
     iter_pairs,
@@ -240,6 +242,22 @@ class TestNeighbor:
         rc, _, err = run(capsys, "neighbor", "--family", "boolean", "--m", "6",
                          "--frac", "1/8", "--dir", "next")
         assert rc == 2 and "not a term" in err
+
+    # the public steps the CLI no longer calls, as an oracle for its --dir
+    PUBLIC_STEPS = {FAREY: {"next": next_in_farey, "prev": prev_in_farey},
+                    BOOLEAN: {"next": succ_in_boolean, "prev": pred_in_boolean}}
+
+    @pytest.mark.parametrize("family", [FAREY, BOOLEAN])
+    @pytest.mark.parametrize("m", range(1, 7))
+    def test_prints_what_the_public_step_returns(self, capsys, family, m):
+        for f in materialize(_point_sequence(family, m)).terms:
+            for direction, step in self.PUBLIC_STEPS[family].items():
+                try:
+                    want = (0, f"{step(f, m)}\n", "")
+                except ValueError as exc:
+                    want = (2, "", f"error: {exc}\n")
+                assert run(capsys, "neighbor", "--family", family, "--m", str(m),
+                           "--frac", str(f), "--dir", direction) == want
 
 
 class TestIndexCount:

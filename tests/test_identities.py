@@ -299,7 +299,7 @@ class TestSymmetricIdentities:
             assert len(set(r.lhs)) == 1  # the stated sums agree among themselves
 
     def test_rejects_degenerate(self):
-        # refused by the boolean(2m, m) descriptor the identities are summed over
+        # refused by m, through the _point_sequence the identities are summed over
         for m in (0, -1):
             with pytest.raises(ValueError, match="order must be positive"):
                 symmetric_identities(m)
@@ -333,10 +333,25 @@ class TestFareyIdentities:
             assert r.passed, str(r)
 
     def test_rejects_degenerate(self):
-        # refused by the farey(m) descriptor the identities are summed over
+        # refused by m, through the _point_sequence the identities are summed over
         for m in (0, -1):
             with pytest.raises(ValueError, match="order must be positive"):
                 farey_identities(m)
+
+
+@pytest.mark.parametrize("identities_of", [symmetric_identities, farey_identities])
+class TestIdentityRefusals:
+    """A bad m is refused in the point verbs' wording, naming m itself,
+    never the order 2m of boolean(2m, m)."""
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_nonpositive_m(self, identities_of, m):
+        with pytest.raises(ValueError, match=f"^order must be positive, got m={m}$"):
+            identities_of(m)
+
+    def test_non_int_m(self, identities_of):
+        with pytest.raises(TypeError, match=r"^order must be an int, got m=2\.0$"):
+            identities_of(2.0)
 
 
 class TestReportShape:

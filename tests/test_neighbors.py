@@ -177,6 +177,23 @@ class TestBooleanStepping:
         assert pred_in_boolean(succ_in_boolean(f, m), m) == f
 
 
+class TestEndpointMessages:
+    """Each public step refuses the step past its endpoint in the same
+    words for both families, as the CLI prints them."""
+
+    @pytest.mark.parametrize("step, m", [(next_in_farey, 1), (next_in_farey, 6),
+                                         (succ_in_boolean, 1), (succ_in_boolean, 6)])
+    def test_no_successor(self, step, m):
+        with pytest.raises(ValueError, match="^1/1 has no successor$"):
+            step(Frac(1, 1), m)
+
+    @pytest.mark.parametrize("step, m", [(prev_in_farey, 1), (prev_in_farey, 6),
+                                         (pred_in_boolean, 1), (pred_in_boolean, 6)])
+    def test_no_predecessor(self, step, m):
+        with pytest.raises(ValueError, match="^0/1 has no predecessor$"):
+            step(Frac(0, 1), m)
+
+
 class TestRequireTerm:
     """_require_term tests the bounds on (h, k) by hand; the descriptor
     _point_sequence builds reads them from the _FAMILIES rows.  The two
