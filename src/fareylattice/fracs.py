@@ -76,15 +76,11 @@ class Frac:
 
     @classmethod
     def parse(cls, text: str) -> "Frac":
-        """Parse 'h/k' into a Frac."""
-        parts = text.strip().split("/")
-        if len(parts) != 2:
+        """Parse 'h/k', two runs of ASCII digits around one slash, ends stripped."""
+        h, slash, k = text.strip().partition("/")
+        if not (slash and h.isascii() and h.isdigit() and k.isascii() and k.isdigit()):
             raise ValueError(f"expected 'h/k', got {text!r}")
-        try:
-            h, k = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ValueError(f"expected 'h/k' with integer parts, got {text!r}") from None
-        return cls(h, k)
+        return cls(int(h), int(k))
 
 
 # For Frac._coprime: the slot setters skip Frac.__setattr__, which forbids

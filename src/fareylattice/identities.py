@@ -27,7 +27,12 @@ from math import comb, gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .sequences import BOOLEAN, FAREY, MAX_COUNT_ORDER, SeqDescriptor, _point_sequence, iter_pairs
+from .sequences import BOOLEAN, FAREY, SeqDescriptor, _point_sequence, iter_pairs
+
+# The closed-form counts and the ranks sieve mu up to about m^(2/3) and keep
+# Mertens values at the ~2*sqrt(m) floor quotients of m; refuse orders above
+# this bound.
+MAX_COUNT_ORDER = 10_000_000
 
 
 def mobius(d: int) -> int:

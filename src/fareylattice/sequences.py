@@ -23,9 +23,12 @@ family has one or two bounds, and each count has its own loop.  Consecutive
 pairs satisfy c*b - a*d = 1, so every pair is already reduced; iter_terms
 wraps them as Frac without a gcd, and the CLI formats them straight from
 the ints.  A SeqDescriptor names a sequence as the named tuple (family, n,
-m), checked when built; `f in descriptor` tests the bounds directly.
+m), checked when built; `f in descriptor` tests the bounds directly, and
+only the descriptor decides which (family, n, m) exist (halves need n = 2m).
 FareySeq(descriptor) holds its terms as a tuple built from the descriptor
-alone, and compares, hashes and tests membership by the descriptor.
+alone, and compares, hashes and tests membership by the descriptor.  The
+builders farey(n), upper_subsequence(n, m), farey_boolean(n, m),
+left_half(n, m) and right_half(n, m) each materialize one descriptor.
 """
 
 from __future__ import annotations
@@ -65,10 +68,6 @@ _FAMILIES = {
 
 # Materializing F_n costs ~0.3*n^2 terms of memory; refuse runaway orders.
 MAX_ORDER = 10_000
-# The closed-form counts and the ranks (identities) sieve mu up to about
-# m^(2/3) and keep Mertens values at the ~2*sqrt(m) floor quotients of m;
-# refuse orders above this bound.
-MAX_COUNT_ORDER = 10_000_000
 
 
 class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(None,))):
@@ -98,11 +97,6 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
     def _make(cls, iterable) -> SeqDescriptor:
         """Build from an iterable through __new__'s checks, as _replace does."""
         return cls(*iterable)
-
-    @property
-    def is_symmetric_boolean(self) -> bool:
-        """True for the boolean family with n = 2m, the case that splits in half."""
-        return self.family == BOOLEAN and self.n == 2 * self.m
 
     @property
     def bounds(self) -> tuple[tuple[int, int, int], ...]:
@@ -279,18 +273,11 @@ def farey_boolean(n: int, m: int) -> FareySeq:
     return materialize(SeqDescriptor(BOOLEAN, n, m))
 
 
-def _half(s: FareySeq, family: str) -> FareySeq:
-    if not s.descriptor.is_symmetric_boolean:
-        raise ValueError(f"{family} is defined only for boolean sequences with n = 2m, "
-                         f"got {s.descriptor}")
-    return materialize(SeqDescriptor(family, s.descriptor.n, s.descriptor.m))
+def left_half(n: int, m: int) -> FareySeq:
+    """Terms of F(B(n), m) up to and including 1/2; only n = 2m has halves."""
+    return materialize(SeqDescriptor(LEFT_HALF, n, m))
 
 
-def left_half(s: FareySeq) -> FareySeq:
-    """Terms of a symmetric boolean sequence up to and including 1/2."""
-    return _half(s, LEFT_HALF)
-
-
-def right_half(s: FareySeq) -> FareySeq:
-    """Terms of a symmetric boolean sequence from 1/2 on."""
-    return _half(s, RIGHT_HALF)
+def right_half(n: int, m: int) -> FareySeq:
+    """Terms of F(B(n), m) from 1/2 on; only n = 2m has halves."""
+    return materialize(SeqDescriptor(RIGHT_HALF, n, m))

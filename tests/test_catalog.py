@@ -109,7 +109,7 @@ class TestMapAction:
     def test_right_to_farey_reverses_position(self):
         mat = UnimodularMap(*MATRICES[RIGHT_TO_FAREY])
         assert mat.apply(Frac(4, 7)) == Frac(3, 4)
-        right = right_half(farey_boolean(12, 6))
+        right = right_half(12, 6)
         assert right.index_of(Frac(4, 7)) == 3
         assert farey(6).index_of(Frac(3, 4)) == len(farey(6)) - 1 - 3
 

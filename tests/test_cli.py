@@ -17,12 +17,12 @@ from fareylattice import identities as ident
 from fareylattice.catalog import MATRICES, SYM_COMPLEMENT
 from fareylattice.cli import main
 from fareylattice.fracs import Frac
+from fareylattice.identities import MAX_COUNT_ORDER
 from fareylattice.neighbors import next_in_farey, pred_in_boolean, prev_in_farey, succ_in_boolean
 from fareylattice.sequences import (
     BOOLEAN,
     FAREY,
     LEFT_HALF,
-    MAX_COUNT_ORDER,
     MAX_ORDER,
     RIGHT_HALF,
     UPPER,
@@ -119,7 +119,7 @@ class TestJson:
         assert obj["terms"] == [[0, 1], [1, 3], [1, 2]]
 
     def test_emit_json_matches_cli(self):
-        assert emit_json(left_half(farey_boolean(4, 2))) == \
+        assert emit_json(left_half(4, 2)) == \
             '{"family":"left-half","n":4,"m":2,"terms":[[0,1],[1,3],[1,2]]}'
 
     def test_terms_ascending(self, capsys):
@@ -634,6 +634,11 @@ class TestUsage:
         rc, _, err = run(capsys, "neighbor", "--family", "farey", "--m", "6",
                          "--frac", "x/y", "--dir", "next")
         assert rc == 2 and "h/k" in err
+
+    def test_fraction_text_int_would_take(self, capsys):
+        # int() reads "1_0" as 10, but only plain ASCII digits are 'h/k'
+        rc, out, err = run(capsys, "index", "--m", "6", "--frac", "1_0/3_0")
+        assert (rc, out, err) == (2, "", "error: expected 'h/k', got '1_0/3_0'\n")
 
 
 class ClosedPipe(io.TextIOBase):

@@ -91,9 +91,10 @@ class TestParseRender:
     def test_repr(self):
         assert repr(Frac(2, 4)) == "Frac(1, 2)"
 
-    @pytest.mark.parametrize("bad", ["", "1", "1/2/3", "a/b", "1.5/2"])
+    @pytest.mark.parametrize("bad", ["", "1", "1/2/3", "a/b", "1.5/2",
+                                     "1_0/3_0", "\u0663/\u0664", "+1/2", "1 /2", "-1/2"])
     def test_parse_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^expected 'h/k', got "):
             Frac.parse(bad)
 
 

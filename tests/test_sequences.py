@@ -25,6 +25,7 @@ from fareylattice.sequences import (
     MAX_ORDER,
     RIGHT_HALF,
     UPPER,
+    FareySeq,
     SeqDescriptor,
     _FAMILIES,
     _point_sequence,
@@ -122,29 +123,47 @@ class TestBoolean:
 
 class TestHalves:
     def test_left_of_12_6(self, golden_boolean_12_6):
-        left = left_half(farey_boolean(12, 6))
+        left = left_half(12, 6)
         assert [str(f) for f in left] == golden_boolean_12_6[:13]
         assert str(left[-1]) == "1/2"
 
     def test_right_of_12_6(self, golden_boolean_12_6):
-        right = right_half(farey_boolean(12, 6))
+        right = right_half(12, 6)
         assert [str(f) for f in right] == golden_boolean_12_6[12:]
 
     def test_left_of_4_2(self):
-        assert as_pairs(left_half(farey_boolean(4, 2))) == [(0, 1), (1, 3), (1, 2)]
+        assert as_pairs(left_half(4, 2)) == [(0, 1), (1, 3), (1, 2)]
 
     @pytest.mark.parametrize("m", range(1, 25))
     def test_halves_share_midpoint(self, m):
-        s = farey_boolean(2 * m, m)
-        le, ri = left_half(s), right_half(s)
+        le, ri = left_half(2 * m, m), right_half(2 * m, m)
         assert le[-1] == HALF == ri[0]
-        assert len(le) + len(ri) == len(s) + 1
+        assert len(le) + len(ri) == len(farey_boolean(2 * m, m)) + 1
+
+    @pytest.mark.parametrize("m", range(1, 25))
+    def test_halves_joined_at_midpoint_are_the_sequence(self, m):
+        joined = left_half(2 * m, m).terms + right_half(2 * m, m).terms[1:]
+        assert joined == farey_boolean(2 * m, m).terms
 
     def test_requires_symmetric_descriptor(self):
-        with pytest.raises(ValueError, match="n = 2m"):
-            left_half(farey_boolean(12, 5))
-        with pytest.raises(ValueError, match="n = 2m"):
-            right_half(farey(6))
+        for half in (left_half, right_half):
+            with pytest.raises(ValueError, match=r"^halfsequences exist only for n = 2m, "
+                                                 r"got n=12, m=5$"):
+                half(12, 5)
+
+    @pytest.mark.parametrize("half,family", [(left_half, LEFT_HALF), (right_half, RIGHT_HALF)])
+    def test_builds_only_the_half(self, half, family, monkeypatch):
+        # the half comes from its own descriptor, not from the whole sequence
+        built = []
+        init = FareySeq.__init__
+
+        def counting_init(seq, descriptor):
+            built.append(descriptor)
+            init(seq, descriptor)
+
+        monkeypatch.setattr(FareySeq, "__init__", counting_init)
+        half(12, 6)
+        assert built == [SeqDescriptor(family, 12, 6)]
 
 
 def descriptors(n):
@@ -168,11 +187,10 @@ class TestOneDefinition:
         for m in range(1, n):
             assert as_pairs(upper_subsequence(n, m)) == brute_upper(n, m)
             boolean = brute_boolean(n, m)
-            seq = farey_boolean(n, m)
-            assert as_pairs(seq) == boolean
+            assert as_pairs(farey_boolean(n, m)) == boolean
             if n == 2 * m:
-                assert as_pairs(left_half(seq)) == [(h, k) for h, k in boolean if 2 * h <= k]
-                assert as_pairs(right_half(seq)) == [(h, k) for h, k in boolean if 2 * h >= k]
+                assert as_pairs(left_half(n, m)) == [(h, k) for h, k in boolean if 2 * h <= k]
+                assert as_pairs(right_half(n, m)) == [(h, k) for h, k in boolean if 2 * h >= k]
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_membership_matches_materialized(self, n):
@@ -258,7 +276,7 @@ class TestIndexing:
     def test_absent(self):
         assert farey(6).index_of(Frac(5, 7)) is None
         # the left half ends at 1/2, so 2/3 bisects to one past its last term
-        assert left_half(farey_boolean(12, 6)).index_of(Frac(2, 3)) is None
+        assert left_half(12, 6).index_of(Frac(2, 3)) is None
 
     def test_contains(self):
         assert Frac(3, 8) in farey_boolean(12, 6)
@@ -314,16 +332,12 @@ class TestDescriptors:
         lambda: farey(9),
         lambda: upper_subsequence(9, 4),
         lambda: farey_boolean(9, 4),
-        lambda: left_half(farey_boolean(8, 4)),
-        lambda: right_half(farey_boolean(8, 4)),
+        lambda: left_half(8, 4),
+        lambda: right_half(8, 4),
     ])
     def test_materialize_round_trips(self, build):
         seq = build()
         assert materialize(seq.descriptor) == seq
-
-    def test_symmetric_flag(self):
-        assert SeqDescriptor(BOOLEAN, 8, 4).is_symmetric_boolean
-        assert not SeqDescriptor(BOOLEAN, 9, 4).is_symmetric_boolean
 
 
 class TestDescriptorRecord:
