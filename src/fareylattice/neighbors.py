@@ -1,18 +1,19 @@
 """Constant-time neighbor formulas for Farey-type sequences.
 
-One step, _neighbor, serves both point families and both directions: it
-checks that f is a term, refuses the step past an endpoint, and makes one
-F_m step.  The four public functions each call it once.  For h/k in the
-order-m Farey sequence, the unique x0 with h*x0 = -1 (mod k) in the
-window [m-k+1, m] gives the successor ((h*x0+1)/k) / x0, and the +1
-congruence gives the predecessor the same way.  The symmetric subsequence
-F(B(2m), m) splits at 1/2 into halves in monotone bijection with F_m, and
-a step is taken in the half that continues past f.  On its left half, h/k
-steps as its F_m image h/(k-h) does, carried back by p/q -> p/(p+q); that
-is the paper's congruence with modulus k-h.  On its right half, the paper
-conjugates through the order-reversing complement h/k -> (k-h)/k, which
-swaps the halves and exchanges predecessor with successor.  m = 1 needs
-no case of its own: its windows hold the one integer 1.
+One step, _neighbor, serves both point families and both directions; the
+four public functions each call it once.  It maps f to its image p/q in
+the order-m Farey sequence F_m and steps there: the unique x0 with
+p*x0 = -1 (mod q) in the window [m-q+1, m] gives the successor
+((p*x0+1)/q) / x0, and the +1 congruence gives the predecessor the same
+way.  For farey the image is f itself.  The symmetric subsequence
+F(B(2m), m) splits at 1/2 into halves in monotone bijection with F_m, and f
+steps in the half that continues past it.  On the left half h/k maps to
+h/(k-h), carried back by p/q -> p/(p+q).  On the right half the paper
+conjugates through the order-reversing complement h/k -> (k-h)/k, so h/k
+maps to (k-h)/h and steps the other way.  f is a term exactly when its
+image is in F_m, q <= m: on a boolean term q = max(h, k-h), so this is the
+family's bounds, and it is the window's own precondition.  m = 1 needs no
+case of its own: its windows hold the one integer 1.
 """
 
 from __future__ import annotations
@@ -47,53 +48,36 @@ def solve_congruence_in_range(
     return lo + (residue_sign * inv - lo) % modulus
 
 
-def _require_term(f: Frac, family: str, m: int) -> None:
-    """Raise unless f is a term of _point_sequence(family, m), which is F_m
-    for family farey and F(B(2m), m) for boolean.  _neighbor's one check.
-
-    The bounds k <= m, or h <= m and k-h <= m, are tested on (h, k)
-    directly, so a term builds no descriptor.  Otherwise _point_sequence
-    refuses a non-int m (TypeError) or m < 1, each by m, and else names
-    the sequence in the message.
-    """
-    h, k = f.h, f.k
-    if isinstance(m, int) and (k <= m if family == FAREY else h <= m and k - h <= m):
-        return
-    raise ValueError(f"{f} is not a term of {_point_sequence(family, m)}")
-
-
-def _farey_step(h: int, k: int, m: int, sign: int) -> tuple[int, int]:
-    """One step from h/k inside F_m: sign -1 forward, +1 back.
-
-    Solves h*x0 = sign (mod k) in [m-k+1, m] and returns the neighbor as
-    the pair ((h*x0 - sign)/k, x0).  The division is exact precisely
-    because x0 solves the congruence, so exactness is re-checked on every
-    call as a guard on the solver.
-    """
-    x0 = solve_congruence_in_range(h, k, sign, m - k + 1, m)
-    p, r = divmod(h * x0 - sign, k)
-    if r:
-        raise ArithmeticError(f"inexact division stepping from {h}/{k} with m={m}")
-    return p, x0
-
-
 def _neighbor(f: Frac, m: int, family: str, sign: int) -> Frac:
     """The term next to f in _point_sequence(family, m): sign -1 the
-    successor, +1 the predecessor."""
-    _require_term(f, family, m)
+    successor, +1 the predecessor.
+
+    f is mapped to its F_m image p/q, which steps with sign s; f is a term
+    exactly when m is an int and q <= m.  One congruence step in F_m, with
+    its exactness re-checked as a guard on the solver, is mapped back.
+    """
     h, k = f.h, f.k
+    # a boolean term steps in the half that continues past it: forward from
+    # 1/2 is the right half, back the left
+    if family == FAREY:
+        p, q, s = h, k, sign
+    elif 2 * h < k + (sign > 0):
+        p, q, s = h, k - h, sign
+    else:
+        # the complement (k-h)/k steps the other way on the left half
+        p, q, s = k - h, h, -sign
+    if not isinstance(m, int) or q > m:
+        raise ValueError(f"{f} is not a term of {_point_sequence(family, m)}")
     # f is reduced with 0 <= h <= k, so h == k is 1/1 and h == 0 is 0/1
     if h == (k if sign < 0 else 0):
         raise ValueError("1/1 has no successor" if sign < 0 else "0/1 has no predecessor")
+    x0 = solve_congruence_in_range(p, q, s, m - q + 1, m)
+    a, r = divmod(p * x0 - s, q)
+    if r:
+        raise ArithmeticError(f"inexact division stepping from {p}/{q} with m={m}")
     if family == FAREY:
-        return Frac._coprime(*_farey_step(h, k, m, sign))
-    # the half that continues past f: forward from 1/2 is the right, back the left
-    if 2 * h < k + (sign > 0):
-        p, q = _farey_step(h, k - h, m, sign)
-        return Frac._coprime(p, p + q)
-    # the complement (k-h)/k steps the other way on the left; complement back
-    p, q = _farey_step(k - h, h, m, -sign)
-    return Frac._coprime(q, p + q)
+        return Frac._coprime(a, x0)
+    return Frac._coprime(a, a + x0) if s == sign else Frac._coprime(x0, a + x0)
 
 
 def next_in_farey(f: Frac, m: int) -> Frac:

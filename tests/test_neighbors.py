@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from fareylattice import neighbors
 from fareylattice.fracs import Frac
 from fareylattice.neighbors import (
-    _require_term,
     next_in_farey,
     pred_in_boolean,
     prev_in_farey,
@@ -194,26 +193,45 @@ class TestEndpointMessages:
             step(Frac(0, 1), m)
 
 
+_STEPS = {FAREY: (next_in_farey, prev_in_farey), BOOLEAN: (succ_in_boolean, pred_in_boolean)}
+_ENDPOINT_MESSAGES = {"1/1 has no successor", "0/1 has no predecessor"}
+
+
+def _check_step_refuses_exactly_non_members(family, m, f):
+    """Both steps of the family refuse f, naming the sequence, exactly when
+    f is not a term of it; from a term they reach a term or an endpoint."""
+    d = _point_sequence(family, m)
+    for step in _STEPS[family]:
+        try:
+            g = step(f, m)
+        except ValueError as exc:
+            if f in d:
+                assert str(exc) in _ENDPOINT_MESSAGES
+            else:
+                assert str(exc) == f"{f} is not a term of {d}"
+        else:
+            assert f in d and g in d
+
+
 class TestRequireTerm:
-    """_require_term tests the bounds on (h, k) by hand; the descriptor
-    _point_sequence builds reads them from the _FAMILIES rows.  The two
-    must agree on every fraction."""
+    """A step tests membership on the F_m image of f (q <= m), not on the
+    family's bounds; the descriptor _point_sequence builds reads those from
+    the _FAMILIES rows.  The two must agree on every fraction."""
 
     @pytest.mark.parametrize("family", [FAREY, BOOLEAN])
     @pytest.mark.parametrize("m", range(1, 13))
     def test_hand_bounds_match_the_family_rows(self, family, m):
-        d = _point_sequence(family, m)
         for k in range(1, 2 * m + 3):
             for h in range(k + 1):
-                if gcd(h, k) != 1:
-                    continue
-                f = Frac(h, k)
-                try:
-                    _require_term(f, family, m)
-                except ValueError as exc:
-                    assert f not in d and str(exc) == f"{f} is not a term of {d}"
-                else:
-                    assert f in d
+                if gcd(h, k) == 1:
+                    _check_step_refuses_exactly_non_members(family, m, Frac(h, k))
+
+    @given(st.sampled_from([FAREY, BOOLEAN]), st.integers(1, 10**12), st.data())
+    @settings(max_examples=300)
+    def test_large_orders(self, family, m, data):
+        k = data.draw(st.integers(1, 3 * m))
+        h = data.draw(st.integers(0, k))
+        _check_step_refuses_exactly_non_members(family, m, Frac(h, k))
 
 
 class TestStepGuard:
@@ -235,17 +253,19 @@ class TestStepGuard:
         with pytest.raises(ArithmeticError, match="inexact division"):
             prev_in_farey(Frac(2, 5), 6)
 
+    # a boolean step names the F_m image it stepped: 2/5 is 2/3 on the left
+    # half, and 2/3 is 1/2 through the complement on the right half
     def test_left_half_boolean_step(self, wrong_solver):
-        with pytest.raises(ArithmeticError, match="inexact division"):
-            succ_in_boolean(Frac(2, 5), 6)
-        with pytest.raises(ArithmeticError, match="inexact division"):
-            pred_in_boolean(Frac(2, 5), 6)
+        for step in (succ_in_boolean, pred_in_boolean):
+            with pytest.raises(ArithmeticError,
+                               match="^inexact division stepping from 2/3 with m=6$"):
+                step(Frac(2, 5), 6)
 
     def test_right_half_boolean_step(self, wrong_solver):
-        with pytest.raises(ArithmeticError, match="inexact division"):
-            succ_in_boolean(Frac(2, 3), 6)
-        with pytest.raises(ArithmeticError, match="inexact division"):
-            pred_in_boolean(Frac(2, 3), 6)
+        for step in (succ_in_boolean, pred_in_boolean):
+            with pytest.raises(ArithmeticError,
+                               match="^inexact division stepping from 1/2 with m=6$"):
+                step(Frac(2, 3), 6)
 
 
 class TestDegenerateOrder:
