@@ -13,7 +13,9 @@ inner sum is the Euclid-like floor sum, so no count or rank builds a sequence.
 Every identity's left side is one pair sum over a stretch of a sequence,
 sum_f sum_s C(M, s*a) * C(M', s*b), where a and b are linear forms in the
 terms h/k (h, k, k-h, k-2h or 2h-k); _pair_sum computes all of them from
-the (h, k) int pairs that sequences.iter_pairs generates.
+the (h, k) int pairs that sequences.iter_pairs generates.  C(M, s*a) is zero
+once s*a > M, so a form above half its row leaves only the s = 1 product,
+which _pair_sum adds directly: the same exact int as the sum over s.
 
 Every value here is an exact Python int; the sums grow like 2^(2m), so no
 floating point is allowed anywhere in this module.
@@ -109,9 +111,8 @@ def phi_interval(h: int, i: int, l: int) -> int:
     if h > _PREFIX_MAX_H:
         return sum(1 for j in range(i, l + 1) if gcd(h, j) == 1)
     prefix = _coprime_prefix(h)
-    hi_q, hi_r = divmod(l, h)
-    lo_q, lo_r = divmod(i - 1, h)
-    return (hi_q - lo_q) * prefix[h] + prefix[hi_r] - prefix[lo_r]
+    lo = i - 1
+    return (l // h - lo // h) * prefix[h] + prefix[l % h] - prefix[lo % h]
 
 
 @lru_cache(maxsize=1024)
@@ -159,7 +160,7 @@ def _mertens(n: int) -> dict[int, int]:
     every x // d is a smaller quotient of n, constant over blocks of d, so
     the sum runs over O(sqrt(x)) blocks.
     """
-    if not isinstance(n, int):
+    if type(n) is not int:  # a bool is an int subclass, not an order
         raise TypeError(f"order must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"order must be positive, got {n}")
@@ -316,18 +317,27 @@ def _pair_sum(pairs: list[tuple[int, int]], m1: int, m2: int,
     """sum over the terms (h, k), over (a, b) in forms and over s >= 1 of
     C(m1, s*a(h, k)) * C(m2, s*b(h, k)), s running until either is zero.
 
+    C(m, s*a) is zero once s*a > m, so when a > m1 // 2 or b > m2 // 2 only
+    s = 1 can contribute: its one product C(m1, a) * C(m2, b) is the whole
+    sum, exactly, and nothing when a > m1 or b > m2.  The sum runs over s
+    only when both values are at most half their row.
+
     Every form must be positive on every pair given.
     """
     row1 = [comb(m1, i) for i in range(m1 + 1)]
     row2 = [comb(m2, i) for i in range(m2 + 1)]
+    half1, half2 = m1 // 2, m2 // 2
     total = 0
     for h, k in pairs:
         for (u1, v1), (u2, v2) in forms:
             a, b = u1 * h + v1 * k, u2 * h + v2 * k
             if a < 1 or b < 1:
                 raise ValueError(f"form value {a} or {b} is not positive at {h}/{k}")
-            # row[a::a] holds C(m, s*a) for s = 1, 2, ... while s*a <= m
-            total += sum(map(mul, row1[a::a], row2[b::b]))
+            if a <= half1 and b <= half2:
+                # row[a::a] holds C(m, s*a) for s = 1, 2, ... while s*a <= m
+                total += sum(map(mul, row1[a::a], row2[b::b]))
+            elif a <= m1 and b <= m2:
+                total += row1[a] * row2[b]
     return total
 
 

@@ -53,8 +53,9 @@ def _neighbor(f: Frac, m: int, family: str, sign: int) -> Frac:
     successor, +1 the predecessor.
 
     f is mapped to its F_m image p/q, which steps with sign s; f is a term
-    exactly when m is an int and q <= m.  One congruence step in F_m, with
-    its exactness re-checked as a guard on the solver, is mapped back.
+    exactly when m is an int (not a bool) and q <= m.  One congruence step
+    in F_m, with its exactness re-checked as a guard on the solver, is
+    mapped back.
     """
     h, k = f.h, f.k
     # a boolean term steps in the half that continues past it: forward from
@@ -66,7 +67,7 @@ def _neighbor(f: Frac, m: int, family: str, sign: int) -> Frac:
     else:
         # the complement (k-h)/k steps the other way on the left half
         p, q, s = k - h, h, -sign
-    if not isinstance(m, int) or q > m:
+    if type(m) is not int or q > m:
         raise ValueError(f"{f} is not a term of {_point_sequence(family, m)}")
     # f is reduced with 0 <= h <= k, so h == k is 1/1 and h == 0 is 0/1
     if h == (k if sign < 0 else 0):

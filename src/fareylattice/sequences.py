@@ -78,7 +78,8 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
     def __new__(cls, family: str, n: int, m: int | None = None) -> SeqDescriptor:
         if family not in _FAMILIES:
             raise ValueError(f"unknown family {family!r}")
-        if not isinstance(n, int) or not (m is None or isinstance(m, int)):
+        # type(), not isinstance: a bool is an int subclass, not an order
+        if type(n) is not int or not (m is None or type(m) is int):
             raise TypeError(f"n and m must be ints, got n={n!r}, m={m!r}")
         if n < 1:
             raise ValueError(f"order must be positive, got n={n}")
@@ -124,7 +125,7 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
 
 def _point_sequence(family: str, m: int) -> SeqDescriptor:
     """F_m for family farey, else F(B(2m), m); a bad m is refused by m, not by 2m."""
-    if not isinstance(m, int):
+    if type(m) is not int:  # a bool is an int subclass, not an order
         raise TypeError(f"order must be an int, got m={m!r}")
     if m < 1:
         raise ValueError(f"order must be positive, got m={m}")

@@ -9,7 +9,7 @@ import json
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import comb, gcd
 
 
 @lru_cache(maxsize=None)
@@ -73,6 +73,15 @@ def brute_divisor_sum(h: int, lower: int, upper: int) -> int:
     (an h < 1 has no divisors), mu from the factorization oracle."""
     return sum(brute_mobius(d) * (upper // d - lower // d)
                for d in range(1, min(h, upper) + 1) if h % d == 0)
+
+
+def brute_pair_sum(pairs, m1: int, m2: int, forms) -> int:
+    """sum of C(m1, s*a) * C(m2, s*b) over the pairs (h, k), the forms
+    ((u1, v1), (u2, v2)) with a = u1*h + v1*k and b = u2*h + v2*k, and
+    s = 1..max(m1, m2), straight from math.comb (zero above the row)."""
+    return sum(comb(m1, s * (u1 * h + v1 * k)) * comb(m2, s * (u2 * h + v2 * k))
+               for h, k in pairs for (u1, v1), (u2, v2) in forms
+               for s in range(1, max(m1, m2) + 1))
 
 
 def emit_json(seq) -> str:

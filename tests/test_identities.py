@@ -1,8 +1,9 @@
+import re
 from itertools import accumulate
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fareylattice import identities
@@ -24,7 +25,7 @@ from fareylattice.identities import (
     symmetric_identities,
 )
 from fareylattice.sequences import farey, farey_boolean
-from oracles import brute_coprime_count, brute_divisor_sum, brute_mobius
+from oracles import brute_coprime_count, brute_divisor_sum, brute_mobius, brute_pair_sum
 
 
 class TestMobius:
@@ -310,6 +311,61 @@ class TestSymmetricIdentities:
             identities._pair_sum([(2, 3), (1, 2)], 4, 4, [(identities._H, identities._2H_K)])
 
 
+_FORMS = (identities._H, identities._K, identities._K_H, identities._K_2H, identities._2H_K)
+# the ordered pairs of forms that (h, k) -> (a, b) maps unimodularly, so any
+# positive (a, b) has an integer (h, k); every identity's pair is one of them
+_STEERABLE = [(f, g) for f in _FORMS for g in _FORMS if f[0] * g[1] - f[1] * g[0] in (1, -1)]
+
+
+def _solve(forms, a, b):
+    """The (h, k) at which a steerable pair of forms takes the values (a, b)."""
+    (u1, v1), (u2, v2) = forms
+    det = u1 * v2 - v1 * u2  # +-1, its own inverse
+    return (a * v2 - v1 * b) * det, (u1 * b - u2 * a) * det
+
+
+def _edge_values(m):
+    """Form values at, just below and just above m // 2, and above m."""
+    return st.sampled_from(sorted({max(1, m // 2 - 1), max(1, m // 2), m // 2 + 1, m + 1, m + 2}))
+
+
+@st.composite
+def _pair_sum_cases(draw):
+    """(pairs, m1, m2, forms): each pair is solved from a steerable pair of
+    forms for edge values of both; extra forms are kept where positive."""
+    m1 = draw(st.integers(1, 24))
+    m2 = draw(st.one_of(st.just(m1), st.integers(1, 24)))
+    steer = draw(st.sampled_from(_STEERABLE))
+    pairs = [_solve(steer, draw(_edge_values(m1)), draw(_edge_values(m2)))
+             for _ in range(draw(st.integers(1, 4)))]
+    extra = draw(st.lists(st.sampled_from([(f, g) for f in _FORMS for g in _FORMS]), max_size=2))
+    forms = [steer] + [(f, g) for f, g in extra
+                       if all(u * h + v * k > 0 for h, k in pairs for u, v in (f, g))]
+    return pairs, m1, m2, forms
+
+
+class TestPairSum:
+    """_pair_sum against math.comb summed over every s, with no row slicing."""
+
+    @given(_pair_sum_cases())
+    @settings(max_examples=400)
+    # at even m, a = m // 2 still has an s = 2 term: C(6, 6) * C(6, 2)
+    @example(([(3, 4)], 6, 6, [(identities._H, identities._K_H)]))
+    @example(([(3, 4)], 6, 9, [(identities._H, identities._K_H)]))
+    def test_matches_brute_sum(self, case):
+        pairs, m1, m2, forms = case
+        assert identities._pair_sum(pairs, m1, m2, forms) == brute_pair_sum(pairs, m1, m2, forms)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
+    def test_every_identity_pair_of_forms(self, m):
+        # each steerable pair of forms over every (a, b) up to m + 2
+        for forms in _STEERABLE:
+            pairs = [_solve(forms, a, b) for a in range(1, m + 3) for b in range(1, m + 3)]
+            for m2 in (m, m + 1):
+                assert (identities._pair_sum(pairs, m, m2, [forms])
+                        == brute_pair_sum(pairs, m, m2, [forms]))
+
+
 class TestFareyIdentities:
     def test_m_1_values(self):
         # F_1 is 0/1, 1/1: no interior term, so every sum is empty
@@ -349,9 +405,10 @@ class TestIdentityRefusals:
         with pytest.raises(ValueError, match=f"^order must be positive, got m={m}$"):
             identities_of(m)
 
-    def test_non_int_m(self, identities_of):
-        with pytest.raises(TypeError, match=r"^order must be an int, got m=2\.0$"):
-            identities_of(2.0)
+    @pytest.mark.parametrize("m", [2.0, True])
+    def test_non_int_m(self, identities_of, m):
+        with pytest.raises(TypeError, match=f"^order must be an int, got m={re.escape(repr(m))}$"):
+            identities_of(m)
 
 
 class TestReportShape:

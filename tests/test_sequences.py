@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 from itertools import islice
 from math import gcd
 
@@ -305,10 +306,11 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             SeqDescriptor("middle", 6, 2)
 
+    @pytest.mark.parametrize("m", [2.0, True, False])
     @pytest.mark.parametrize("family", [FAREY, BOOLEAN])
-    def test_point_sequence_refuses_a_non_int_m_by_its_name(self, family):
-        with pytest.raises(TypeError, match=r"^order must be an int, got m=2\.0$"):
-            _point_sequence(family, 2.0)
+    def test_point_sequence_refuses_a_non_int_m_by_its_name(self, family, m):
+        with pytest.raises(TypeError, match=f"^order must be an int, got m={re.escape(repr(m))}$"):
+            _point_sequence(family, m)
 
     @pytest.mark.parametrize("call", [
         lambda: farey(4.0),
@@ -326,6 +328,24 @@ class TestDescriptors:
     def test_non_int_order_raises_type_error(self, call):
         # a float order would otherwise leak floats into the exact terms
         with pytest.raises(TypeError):
+            call()
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda: farey(True), "n and m must be ints, got n=True, m=None"),
+        (lambda: SeqDescriptor(FAREY, False), "n and m must be ints, got n=False, m=None"),
+        (lambda: SeqDescriptor(BOOLEAN, 6, True), "n and m must be ints, got n=6, m=True"),
+        (lambda: next_in_farey(Frac(0, 1), True), "order must be an int, got m=True"),
+        (lambda: prev_in_farey(Frac(1, 1), True), "order must be an int, got m=True"),
+        (lambda: succ_in_boolean(Frac(0, 1), True), "order must be an int, got m=True"),
+        (lambda: pred_in_boolean(Frac(1, 1), False), "order must be an int, got m=False"),
+        (lambda: farey_size(True), "order must be an int, got True"),
+        (lambda: farey_boolean_size(True), "order must be an int, got True"),
+        (lambda: farey_rank(0, 1, True), "order must be an int, got True"),
+        (lambda: farey_boolean_rank(1, 2, False), "order must be an int, got False"),
+    ])
+    def test_bool_order_is_refused_as_a_non_int(self, call, message):
+        # bool is an int subclass: True would otherwise pass as the order 1
+        with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
             call()
 
     @pytest.mark.parametrize("build", [
