@@ -306,10 +306,15 @@ class TestDescriptors:
         with pytest.raises(ValueError):
             SeqDescriptor("middle", 6, 2)
 
-    @pytest.mark.parametrize("m", [2.0, True, False])
     @pytest.mark.parametrize("family", [FAREY, BOOLEAN])
-    def test_point_sequence_refuses_a_non_int_m_by_its_name(self, family, m):
-        with pytest.raises(TypeError, match=f"^order must be an int, got m={re.escape(repr(m))}$"):
+    def test_point_sequence_refuses_a_non_int_m_by_its_name(self, family):
+        with pytest.raises(TypeError, match=r"^order must be an int, got m=2\.0$"):
+            _point_sequence(family, 2.0)
+
+    @pytest.mark.parametrize("m", [True, False])
+    @pytest.mark.parametrize("family", [FAREY, BOOLEAN])
+    def test_point_sequence_refuses_a_bool_m_by_its_name(self, family, m):
+        with pytest.raises(TypeError, match=f"^order must be an int, got m={m}$"):
             _point_sequence(family, m)
 
     @pytest.mark.parametrize("call", [
