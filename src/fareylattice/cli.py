@@ -216,8 +216,15 @@ def _sweep_identities(max_n: int, max_m: int) -> Iterator[Check]:
         yield (f"totient chain m={m}", ok, "")
     span = 2 * max_m
     for h in range(1, max_m + 1):
+        # h's tables are read once; each interval is still counted both ways,
+        # by the cores the public functions call, and never from prefix differences
+        divisors, divisor_sum = ident._squarefree_divisors(h), ident._divisor_sum
+        if h <= ident._PREFIX_MAX_H:
+            prefix, count = ident._coprime_prefix(h), ident._coprime_count
+        else:  # phi_interval's gcd count, which builds no table for this h
+            prefix, count = None, lambda h, _, i, l: ident.phi_interval(h, i, l)
         ok = all(
-            ident.phi_interval_mobius(h, lo, hi) == ident.phi_interval(h, lo + 1, hi)
+            divisor_sum(divisors, lo, hi) == count(h, prefix, lo + 1, hi)
             for lo in range(span) for hi in range(lo + 1, span + 1)
         )
         yield (f"totient divisor-sum h={h}", ok, "")

@@ -17,6 +17,13 @@ the (h, k) int pairs that sequences.iter_pairs generates.  C(M, s*a) is zero
 once s*a > M, so a form above half its row leaves only the s = 1 product,
 which _pair_sum adds directly: the same exact int as the sum over s.
 
+The two interval totients, phi_interval by gcd and phi_interval_mobius by
+the divisor sum, are each their argument checks over a private core that
+takes h's cached table: _coprime_count reads h's coprime prefix table and
+_divisor_sum h's squarefree divisors.  verify's divisor-sum check reads both
+tables once per h and calls the two cores on every interval, so each side is
+the arithmetic the public function runs, without its checks and lookups.
+
 Every value here is an exact Python int; the sums grow like 2^(2m), so no
 floating point is allowed anywhere in this module.
 """
@@ -96,11 +103,23 @@ def _coprime_prefix(h: int) -> tuple[int, ...]:
     return tuple(prefix)
 
 
+def _coprime_count(h: int, prefix: tuple[int, ...], i: int, l: int) -> int:
+    """How many j in [i, l] are coprime to h, for 1 <= i <= l and h's prefix
+    table P = _coprime_prefix(h).
+
+    gcd(h, j) depends only on j mod h, so the count up to x is
+    (x // h) * P[h] + P[x % h].
+    """
+    lo = i - 1
+    return (l // h - lo // h) * prefix[h] + prefix[l % h] - prefix[lo % h]
+
+
 def phi_interval(h: int, i: int, l: int) -> int:
     """How many j in [i, l] are coprime to h; empty intervals count 0.
 
-    gcd(h, j) depends only on j mod h, so the count up to x is
-    (x // h) * P[h] + P[x % h] from h's prefix table P.
+    The checks are here; the count is _coprime_count over h's cached prefix
+    table, or for h above _PREFIX_MAX_H a direct gcd count, which builds no
+    table.
     """
     if h < 1:
         raise ValueError(f"phi_interval needs h >= 1, got {h}")
@@ -110,9 +129,7 @@ def phi_interval(h: int, i: int, l: int) -> int:
         return 0
     if h > _PREFIX_MAX_H:
         return sum(1 for j in range(i, l + 1) if gcd(h, j) == 1)
-    prefix = _coprime_prefix(h)
-    lo = i - 1
-    return (l // h - lo // h) * prefix[h] + prefix[l % h] - prefix[lo % h]
+    return _coprime_count(h, _coprime_prefix(h), i, l)
 
 
 @lru_cache(maxsize=1024)
@@ -131,25 +148,34 @@ def _squarefree_divisors(h: int) -> tuple[tuple[int, int], ...]:
     return tuple((d, mu) for d in small + large if (mu := mobius(d)))
 
 
+def _divisor_sum(divisors: tuple[tuple[int, int], ...], lower: int, upper: int) -> int:
+    """sum_{d | h, d <= upper} mu(d) * (upper//d - lower//d) over h's
+    divisors = _squarefree_divisors(h), for 0 <= lower < upper.
+
+    The divisors ascend, so the sum stops at the first one above upper,
+    which would add 0.
+    """
+    total = 0
+    for d, mu in divisors:
+        if d > upper:
+            break
+        total += mu * (upper // d - lower // d)
+    return total
+
+
 def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
     """Coprime count on [lower+1, upper] via the divisor sum
     sum_{d | h, d <= upper} mu(d) * (upper//d - lower//d).
 
-    h's squarefree divisors and their mu are listed once per h (a bounded
-    cache, which also rejects h < 1 as phi_interval does); every call still
-    sums its own interval, stopping at the first divisor above upper, which
-    would add 0.
+    The interval checks are here; h's squarefree divisors and their mu are
+    listed once per h (a bounded cache, which also rejects h < 1 as
+    phi_interval does), and _divisor_sum sums this interval over them.
     """
     if lower < 0:
         raise ValueError(f"interval bound must be nonnegative, got {lower}")
     if lower >= upper:
         raise ValueError(f"empty interval [{lower + 1}, {upper}]")
-    total = 0
-    for d, mu in _squarefree_divisors(h):
-        if d > upper:
-            break
-        total += mu * (upper // d - lower // d)
-    return total
+    return _divisor_sum(_squarefree_divisors(h), lower, upper)
 
 
 def _mertens(n: int) -> dict[int, int]:

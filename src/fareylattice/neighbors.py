@@ -14,6 +14,11 @@ maps to (k-h)/h and steps the other way.  f is a term exactly when its
 image is in F_m, q <= m: on a boolean term q = max(h, k-h), so this is the
 family's bounds, and it is the window's own precondition.  m = 1 needs no
 case of its own: its windows hold the one integer 1.
+
+solve_congruence_in_range is the public solver: its checks, then the private
+_solve.  _neighbor's window [m-q+1, m] holds q integers and its image p/q is
+reduced, so it always meets those checks: it calls _solve directly and keeps
+only its exactness guard.
 """
 
 from __future__ import annotations
@@ -30,7 +35,8 @@ def solve_congruence_in_range(
     """The unique x0 in [lo, hi] with h*x0 = residue_sign (mod modulus).
 
     The window must contain exactly `modulus` integers, which is what makes
-    the solution unique.  residue_sign is +1 or -1.
+    the solution unique.  residue_sign is +1 or -1.  The checks are here;
+    the solution is _solve's, which _neighbor calls directly.
     """
     if modulus < 1:
         raise ValueError(f"modulus must be positive, got {modulus}")
@@ -43,9 +49,14 @@ def solve_congruence_in_range(
     g = gcd(h, modulus)
     if g != 1:
         raise ValueError(f"no solution: gcd({h}, {modulus}) = {g} > 1")
-    inv = pow(h % modulus, -1, modulus)
-    # h*inv = 1 (mod modulus), so the residue class is residue_sign*inv
-    return lo + (residue_sign * inv - lo) % modulus
+    return _solve(h, modulus, residue_sign, lo)
+
+
+def _solve(h: int, modulus: int, sign: int, lo: int) -> int:
+    """The x0 in [lo, lo + modulus - 1] with h*x0 = sign (mod modulus), for
+    modulus >= 1, sign +1 or -1 and gcd(h, modulus) = 1, unchecked."""
+    # h*inv = 1 (mod modulus), so the residue class is sign*inv
+    return lo + (sign * pow(h % modulus, -1, modulus) - lo) % modulus
 
 
 def _neighbor(f: Frac, m: int, family: str, sign: int) -> Frac:
@@ -72,7 +83,7 @@ def _neighbor(f: Frac, m: int, family: str, sign: int) -> Frac:
     # f is reduced with 0 <= h <= k, so h == k is 1/1 and h == 0 is 0/1
     if h == (k if sign < 0 else 0):
         raise ValueError("1/1 has no successor" if sign < 0 else "0/1 has no predecessor")
-    x0 = solve_congruence_in_range(p, q, s, m - q + 1, m)
+    x0 = _solve(p, q, s, m - q + 1)
     a, r = divmod(p * x0 - s, q)
     if r:
         raise ArithmeticError(f"inexact division stepping from {p}/{q} with m={m}")

@@ -449,6 +449,58 @@ class TestVerify:
             calls.clear()
         assert checked == list(range(2, 8))
 
+    def test_divisor_sum_checks_every_interval(self, monkeypatch):
+        # a divisor-sum check that skipped or merged intervals would still print PASS, so record
+        # what each side computes: one core call per interval, from h's own cached tables
+        sums, counts = [], []
+        divisor_sum, coprime_count = ident._divisor_sum, ident._coprime_count
+        monkeypatch.setattr(ident, "_divisor_sum", lambda divisors, lo, hi:
+                            sums.append((divisors, lo, hi)) or divisor_sum(divisors, lo, hi))
+        monkeypatch.setattr(ident, "_coprime_count", lambda h, prefix, i, l:
+                            counts.append((h, prefix, i, l)) or coprime_count(h, prefix, i, l))
+        # every 0 <= lo < hi <= 2 * max_m: C(15, 2) of them
+        want = [(lo, hi) for lo in range(14) for hi in range(lo + 1, 15)]
+        assert len(want) == 105
+        checked = []
+        for label, ok, _ in cli._sweep_identities(2, 7):
+            if label.startswith("totient divisor-sum h="):
+                h = int(label.rpartition("=")[2])
+                divisors, prefix = ident._squarefree_divisors(h), ident._coprime_prefix(h)
+                assert ok, label
+                assert all(d is divisors for d, _, _ in sums), label
+                assert all(g == h and p is prefix for g, p, _, _ in counts), label
+                assert sorted((lo, hi) for _, lo, hi in sums) == want, label
+                assert sorted((i - 1, l) for _, _, i, l in counts) == want, label
+                checked.append(h)
+            sums.clear()
+            counts.clear()
+        assert checked == list(range(1, 8))
+
+    def test_divisor_sum_past_the_prefix_bound_counts_by_gcd(self, monkeypatch):
+        # above _PREFIX_MAX_H the gcd side is phi_interval's own count, and no prefix table is built
+        monkeypatch.setattr(ident, "_PREFIX_MAX_H", 3)
+        ident._coprime_prefix.cache_clear()
+        checks = [(label, ok) for label, ok, _ in cli._sweep_identities(2, 7) if "divisor-sum" in label]
+        assert checks == [(f"totient divisor-sum h={h}", True) for h in range(1, 8)]
+        assert ident._coprime_prefix.cache_info().currsize == 3
+
+    def test_off_by_one_divisor_sum_fails_sweep(self, capsys, monkeypatch):
+        # a break at d >= upper drops the divisor d = upper, so every h fails at (lo, hi) = (0, 1)
+        def early_break(divisors, lower, upper):
+            total = 0
+            for d, mu in divisors:
+                if d >= upper:
+                    break
+                total += mu * (upper // d - lower // d)
+            return total
+
+        monkeypatch.setattr(ident, "_divisor_sum", early_break)
+        rc, out, _ = run(capsys, "verify", "--suite", "identities")
+        assert rc == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == [f"FAIL totient divisor-sum h={h}" for h in range(1, 13)] + \
+            [f"FAIL 12/{len(out.splitlines()) - 1}"]
+
     def test_all_suites_listing_is_pinned(self, capsys):
         # every check label, in order, of the default-scale full sweep
         rc, out, err = run(capsys, "verify", "--suite", "all")

@@ -107,6 +107,18 @@ class TestPhiInterval:
             for lo, hi in intervals:
                 assert phi_interval_mobius(h, lo, hi) == brute_divisor_sum(h, lo, hi), (h, lo, hi)
 
+    @given(st.integers(1, _PREFIX_MAX_H), st.integers(0, 3000), st.integers(1, 3000))
+    @example(1, 0, 1)
+    @example(_PREFIX_MAX_H, _PREFIX_MAX_H - 1, 2 * _PREFIX_MAX_H + 1)
+    @settings(max_examples=300)
+    def test_cores_match_oracles(self, h, lower, span):
+        # the private cores, read from h's cached tables, against the brute oracles
+        upper = lower + span
+        divisors, prefix = identities._squarefree_divisors(h), identities._coprime_prefix(h)
+        assert identities._divisor_sum(divisors, lower, upper) == brute_divisor_sum(h, lower, upper)
+        assert identities._coprime_count(h, prefix, lower + 1, upper) == \
+            brute_coprime_count(h, lower + 1, upper)
+
     def test_divisor_cache_is_bounded(self):
         assert identities._squarefree_divisors.cache_info().maxsize is not None
 

@@ -240,11 +240,13 @@ class TestStepGuard:
 
     @pytest.fixture
     def wrong_solver(self, monkeypatch):
-        def wrong(h, modulus, residue_sign, lo, hi):
-            x0 = solve_congruence_in_range(h, modulus, residue_sign, lo, hi)
-            return lo + (x0 - lo + 1) % modulus
+        # the step calls the private solver, so that is the one replaced
+        solve = neighbors._solve
 
-        monkeypatch.setattr(neighbors, "solve_congruence_in_range", wrong)
+        def wrong(h, modulus, sign, lo):
+            return lo + (solve(h, modulus, sign, lo) - lo + 1) % modulus
+
+        monkeypatch.setattr(neighbors, "_solve", wrong)
 
     def test_farey_step(self, wrong_solver):
         # the solution of 2*x0 = -1 (mod 5) in [2, 6] is 2; the fake returns 3
