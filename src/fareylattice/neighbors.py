@@ -12,7 +12,7 @@ h/(k-h), carried back by p/q -> p/(p+q).  On the right half the paper
 conjugates through the order-reversing complement h/k -> (k-h)/k, so h/k
 maps to (k-h)/h and steps the other way.  f is a term exactly when its
 image is in F_m, q <= m: on a boolean term q = max(h, k-h), so this is the
-family's bounds, and it is the window's own precondition.  m = 1 needs no
+family's box, and it is the window's own precondition.  m = 1 needs no
 case of its own: its windows hold the one integer 1.
 
 solve_congruence_in_range is the public solver: its checks, then the private

@@ -1,34 +1,38 @@
 """Construction of Farey sequences and their Boolean-lattice subsequences.
 
-Each family is defined once, in _FAMILIES, as the reduced h/k in a stretch
-of [0/1, 1/1] that meet linear bounds (u, v, w), each meaning u*h + v*k <= w:
+Each family is defined once, in _FAMILIES, as a box in its own coordinates:
+a term h/k has (x, y) = (h, k - c*h) for the family's shear c, and the
+family is the reduced x/y in a stretch of [0/1, 1/0] with x <= A and y <= B:
 
-  farey        (0,1,n)               k <= n, the Farey sequence F_n
-  upper        (0,1,n), (1,0,m)      k <= n and h <= m
-  boolean      (1,0,m), (-1,1,n-m)   h <= m and k-h <= n-m: the reduced values
-               |B & A| / |B| over nonempty subsets B of an n-set with a
-               marked m-subset A
-  left-half    the boolean bounds with n = 2m, from 0/1 to 1/2
-  right-half   the boolean bounds with n = 2m, from 1/2 to 1/1
+  family       c  box (A, B)  stretch of x/y
+  farey        0  (n, n)      0/1 .. 1/1   k <= n, the Farey sequence F_n
+  upper        0  (m, n)      0/1 .. 1/1   k <= n and h <= m
+  boolean      1  (m, n-m)    0/1 .. 1/0   h <= m and k-h <= n-m: the reduced
+               values |B & A| / |B| over nonempty subsets B of an n-set
+               with a marked m-subset A
+  left-half    1  (m, n-m)    0/1 .. 1/1   x <= y, from 0/1 to 1/2; n = 2m
+  right-half   1  (m, n-m)    1/1 .. 1/0   x >= y, from 1/2 to 1/1; n = 2m
 
-Generation and membership both read that table.  iter_pairs streams the
-terms as (h, k) int pairs by the bounded next-term recurrence (Graham, Knuth
-and Patashnik, Concrete Mathematics, section 4.5): after consecutive terms
-a/b < c/d comes (t*c - a)/(t*d - b), for the largest t that keeps it inside
-every bound, the minimum of (w + x0) // x1 over the bounds with x1 > 0,
-where x0 = u*a + v*b and x1 = u*c + v*d.  A bound's form is linear, so it
-follows the same recurrence as the terms, x2 = t*x1 - x0; iter_pairs carries
-each bound's (x0, x1) along and never multiplies by a coefficient.  Every
-family has one or two bounds, and each count has its own loop.  Consecutive
-pairs satisfy c*b - a*d = 1, so every pair is already reduced; iter_terms
-wraps them as Frac without a gcd, and the CLI formats them straight from
-the ints.  A SeqDescriptor names a sequence as the named tuple (family, n,
-m), checked when built; `f in descriptor` tests the bounds directly, and
-only the descriptor decides which (family, n, m) exist (halves need n = 2m).
-FareySeq(descriptor) holds its terms as a tuple built from the descriptor
-alone, and compares, hashes and tests membership by the descriptor.  The
-builders farey(n), upper_subsequence(n, m), farey_boolean(n, m),
-left_half(n, m) and right_half(n, m) each materialize one descriptor.
+The shear c = 1 is the catalog's left-to-farey map h/k -> h/(k-h), which
+keeps the order and the determinant of consecutive terms.  Generation and
+membership both read that table.  iter_pairs streams the terms as (h, k)
+int pairs by the bounded next-term recurrence (Graham, Knuth and Patashnik,
+Concrete Mathematics, section 4.5), in (x, y): after consecutive terms
+x0/y0 < x1/y1 comes (t*x1 - x0)/(t*y1 - y0) for the largest t that keeps
+it in the box.  That t is (B + y0) // y1, unless the x it gives exceeds A,
+and then (A + x0) // x1; farey never exceeds A = n, so it takes one floor
+division per term.  k = y + c*x is linear, so it follows the same
+recurrence; iter_pairs carries (x, y, k) and emits (x, k).  Consecutive
+pairs satisfy h1*k0 - h0*k1 = 1, so every pair is already reduced;
+iter_terms wraps them as Frac without a gcd, and the CLI formats them
+straight from the ints.  A SeqDescriptor names a sequence as the named
+tuple (family, n, m), checked when built; `f in descriptor` tests the
+stretch and the box directly, and only the descriptor decides which
+(family, n, m) exist (halves need n = 2m).  FareySeq(descriptor) holds its
+terms as a tuple built from the descriptor alone, and compares, hashes and
+tests membership by the descriptor.  The builders farey(n),
+upper_subsequence(n, m), farey_boolean(n, m), left_half(n, m) and
+right_half(n, m) each materialize one descriptor.
 """
 
 from __future__ import annotations
@@ -46,24 +50,19 @@ LEFT_HALF = "left-half"
 RIGHT_HALF = "right-half"
 
 
-def _boolean_bounds(n: int, m: int) -> tuple[tuple[int, int, int], ...]:
-    return ((1, 0, m), (-1, 1, n - m))
+# A stretch is the pair that starts generation (a virtual term x0/y0 with
+# x1*y0 - x0*y1 = 1, then the first term x1/y1) and the last term, in (x, y).
+_TO_ONE = ((-1, 0), (0, 1), (1, 1))
+_TO_INFINITY = ((-1, 0), (0, 1), (1, 0))
+_ONE_TO_INFINITY = ((0, 1), (1, 1), (1, 0))
 
-
-# A stretch of [0/1, 1/1] is the pair that starts generation (a virtual
-# term h0/k0 with h1*k0 - h0*k1 = 1, then the first term h1/k1) and the
-# last term.
-_WHOLE = ((-1, 0), (0, 1), (1, 1))
-_UP_TO_HALF = ((-1, 0), (0, 1), (1, 2))
-_FROM_HALF = ((0, 1), (1, 2), (1, 1))
-
-# family -> (its bounds (u, v, w) as a function of (n, m), its stretch)
+# family -> (its shear c, its box (A, B) as a function of (n, m), its stretch)
 _FAMILIES = {
-    FAREY: (lambda n, m: ((0, 1, n),), _WHOLE),
-    UPPER: (lambda n, m: ((0, 1, n), (1, 0, m)), _WHOLE),
-    BOOLEAN: (_boolean_bounds, _WHOLE),
-    LEFT_HALF: (_boolean_bounds, _UP_TO_HALF),
-    RIGHT_HALF: (_boolean_bounds, _FROM_HALF),
+    FAREY: (0, lambda n, m: (n, n), _TO_ONE),
+    UPPER: (0, lambda n, m: (m, n), _TO_ONE),
+    BOOLEAN: (1, lambda n, m: (m, n - m), _TO_INFINITY),
+    LEFT_HALF: (1, lambda n, m: (m, n - m), _TO_ONE),
+    RIGHT_HALF: (1, lambda n, m: (m, n - m), _ONE_TO_INFINITY),
 }
 
 # Materializing F_n costs ~0.3*n^2 terms of memory; refuse runaway orders.
@@ -99,23 +98,14 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
         """Build from an iterable through __new__'s checks, as _replace does."""
         return cls(*iterable)
 
-    @property
-    def bounds(self) -> tuple[tuple[int, int, int], ...]:
-        """The family's bounds (u, v, w), each meaning u*h + v*k <= w."""
-        return _FAMILIES[self.family][0](self.n, self.m)
-
     def __contains__(self, f: object) -> bool:
-        """True when f is a term of the sequence: inside its stretch and bounds."""
+        """True when f is a term of the sequence: inside its stretch and box."""
         if not isinstance(f, Frac):
             return False
-        bounds, (_, (h0, k0), (h1, k1)) = _FAMILIES[self.family]
-        h, k = f.h, f.k
-        if h0 * k > h * k0 or h * k1 > h1 * k:
-            return False
-        for u, v, w in bounds(self.n, self.m):
-            if u * h + v * k > w:
-                return False
-        return True
+        c, box, (_, (x0, y0), (x1, y1)) = _FAMILIES[self.family]
+        a, b = box(self.n, self.m)
+        x, y = f.h, f.k - c * f.h
+        return x0 * y <= x * y0 and x * y1 <= x1 * y and x <= a and y <= b
 
     def __str__(self) -> str:
         if self.family == FAREY:
@@ -179,68 +169,34 @@ class FareySeq:
         return f"FareySeq({self.descriptor}, {len(self.terms)} terms)"
 
 
-# The walks: a bounded sequence has some bound with x1 > 0 at every term
-# but its last, else t would have no limit.  The loop tests k1 first: it
-# equals k_last only at the last term and, for 0/1 .. 1/1, at the first.
-
-
-def _walk_one(bounds: tuple[tuple[int, int, int], ...],
-              stretch: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
-    ((u, v, w),) = bounds
-    (h0, k0), (h1, k1), (h_last, k_last) = stretch
-    x0, x1 = u * h0 + v * k0, u * h1 + v * k1
-    yield h1, k1
-    while k1 != k_last or h1 != h_last:
-        t = (w + x0) // x1  # the one bound: x1 > 0
-        h0, h1 = h1, t * h1 - h0
-        k0, k1 = k1, t * k1 - k0
-        x0, x1 = x1, t * x1 - x0
-        yield h1, k1
-
-
-def _walk_two(bounds: tuple[tuple[int, int, int], ...],
-              stretch: tuple[tuple[int, int], ...]) -> Iterator[tuple[int, int]]:
-    (u, v, w), (p, q, r) = bounds
-    (h0, k0), (h1, k1), (h_last, k_last) = stretch
-    x0, x1 = u * h0 + v * k0, u * h1 + v * k1
-    y0, y1 = p * h0 + q * k0, p * h1 + q * k1
-    yield h1, k1
-    while k1 != k_last or h1 != h_last:
-        if x1 > 0:
-            t = (w + x0) // x1
-            if y1 > 0:
-                s = (r + y0) // y1
-                if s < t:
-                    t = s
-        else:
-            t = (r + y0) // y1
-        h0, h1 = h1, t * h1 - h0
-        k0, k1 = k1, t * k1 - k0
-        x0, x1 = x1, t * x1 - x0
-        y0, y1 = y1, t * y1 - y0
-        yield h1, k1
-
-
-# a walk per number of bounds; every _FAMILIES row has one or two
-_WALKS = {1: _walk_one, 2: _walk_two}
-
-
 def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
     """Terms of the sequence d names, ascending, as coprime (h, k) int pairs.
 
-    From consecutive terms h0/k0 < h1/k1 the next is (t*h1 - h0)/(t*k1 - k0)
-    for the largest t that keeps it inside every bound: the minimum of
-    (w + x0) // x1 over the bounds with x1 > 0, where x0 = u*h0 + v*k0 and
-    x1 = u*h1 + v*k1 are the bound's form at the two terms.  The other
-    bounds only loosen as t grows.  The form is linear, so its value at the
-    next term is t*x1 - x0: each bound's pair (x0, x1) is carried through
-    the same recurrence as the terms, and no step multiplies by a
-    coefficient.  Every family has one or two bounds, and each count has
-    its own loop.  Each step keeps h1*k0 - h0*k1 = 1, so every pair is
+    The walk runs in the family's (x, y) = (h, k - c*h).  From consecutive
+    terms x0/y0 < x1/y1 the next is (t*x1 - x0)/(t*y1 - y0) for the largest
+    t that keeps it in the box x <= A, y <= B: t = (B + y0) // y1, unless
+    the x it gives exceeds A, and then t = (A + x0) // x1.  y1 = 0 only at
+    the last term 1/0, and x1 = 0 only at the first term 0/1, whose next x
+    is -x0 = 1 <= A; so neither division is by zero.  k = y + c*x follows
+    the same recurrence, so each step carries (x, y, k) and emits (x, k).
+    Each step keeps x1*y0 - x0*y1 = h1*k0 - h0*k1 = 1, so every pair is
     coprime without a gcd.
     """
-    bounds = d.bounds
-    return _WALKS[len(bounds)](bounds, _FAMILIES[d.family][1])
+    c, box, ((x0, y0), (x1, y1), (x_last, y_last)) = _FAMILIES[d.family]
+    a, b = box(d.n, d.m)
+    k0, k1 = y0 + c * x0, y1 + c * x1
+    yield x1, k1
+    # y1 equals y_last only at the last term and, on 0/1 .. 1/1, at the first
+    while y1 != y_last or x1 != x_last:
+        t = (b + y0) // y1
+        x = t * x1 - x0
+        if x > a:
+            t = (a + x0) // x1
+            x = t * x1 - x0
+        x0, x1 = x1, x
+        y0, y1 = y1, t * y1 - y0
+        k0, k1 = k1, t * k1 - k0
+        yield x, k1
 
 
 def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:

@@ -377,7 +377,7 @@ class TestMap:
         assert rc == 2 and "domain" in err
 
     def test_domain_above_materialization_guard(self, capsys):
-        # membership is tested on the bounds, so no sequence is materialized
+        # membership is tested on the box, so no sequence is materialized
         m = MAX_ORDER + 1
         rc, out, err = run(capsys, "map", "--name", "right-to-farey",
                            "--n", str(2 * m), "--m", str(m), "--frac", f"{m}/{m + 1}")

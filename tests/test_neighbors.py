@@ -215,7 +215,7 @@ def _check_step_refuses_exactly_non_members(family, m, f):
 
 class TestRequireTerm:
     """A step tests membership on the F_m image of f (q <= m), not on the
-    family's bounds; the descriptor _point_sequence builds reads those from
+    family's box; the descriptor _point_sequence builds reads that from
     the _FAMILIES rows.  The two must agree on every fraction."""
 
     @pytest.mark.parametrize("family", [FAREY, BOOLEAN])

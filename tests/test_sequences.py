@@ -178,9 +178,42 @@ def descriptors(n):
             yield SeqDescriptor(RIGHT_HALF, n, m)
 
 
+def oracle(d):
+    """The (h, k) pairs of the sequence d names, by brute force alone."""
+    if d.family == FAREY:
+        return brute_farey(d.n)
+    if d.family == UPPER:
+        return brute_upper(d.n, d.m)
+    boolean = brute_boolean(d.n, d.m)
+    if d.family == LEFT_HALF:
+        return [(h, k) for h, k in boolean if 2 * h <= k]
+    if d.family == RIGHT_HALF:
+        return [(h, k) for h, k in boolean if 2 * h >= k]
+    return boolean
+
+
+# the first three pairs of each family at n = 10^9 and m = 5*10^8, in closed form
+_N, _M = 10**9, 5 * 10**8
+_FIRST_THREE = {
+    FAREY: [(0, 1), (1, _N), (1, _N - 1)],
+    UPPER: [(0, 1), (1, _N), (1, _N - 1)],
+    BOOLEAN: [(0, 1), (1, _N - _M + 1), (1, _N - _M)],
+    LEFT_HALF: [(0, 1), (1, _M + 1), (1, _M)],
+    RIGHT_HALF: [(1, 2), (_M, 2 * _M - 1), (_M - 1, 2 * _M - 3)],
+}
+# a fraction just outside each box at the same orders: y > B, or x > A
+_PAST_THE_BOX = {
+    FAREY: (1, _N + 1),
+    UPPER: (_M + 1, _N),
+    BOOLEAN: (1, _N - _M + 2),
+    LEFT_HALF: (1, _M + 2),
+    RIGHT_HALF: (_M + 1, 2 * _M + 1),
+}
+
+
 class TestOneDefinition:
-    """Generation and membership both come from the bounds table; check
-    each against the brute-force oracles, which never read it."""
+    """Generation and membership both come from the family's _FAMILIES row;
+    check each against the brute-force oracles, which never read it."""
 
     @pytest.mark.parametrize("n", range(1, 31))
     def test_every_family_matches_oracles(self, n):
@@ -198,22 +231,31 @@ class TestOneDefinition:
         candidates = [Frac(h, k) for k in range(1, n + 2) for h in range(k + 1)
                       if gcd(h, k) == 1]
         for d in descriptors(n):
-            terms = materialize(d).terms
-            assert [f for f in candidates if f in d] == [f for f in candidates if f in terms]
+            members = set(oracle(d))
+            assert [f for f in candidates if f in d] == [
+                f for f in candidates if (f.h, f.k) in members], d
 
     def test_membership_rejects_non_fractions(self):
         assert "1/2" not in SeqDescriptor(FAREY, 4)
 
-    def test_streaming_needs_no_materialization_guard(self):
-        terms = iter_terms(SeqDescriptor(FAREY, MAX_ORDER + 1))
-        assert [next(terms), next(terms)] == [Frac(0, 1), Frac(1, MAX_ORDER + 1)]
+    @pytest.mark.parametrize("family", sorted(_FIRST_THREE))
+    def test_streaming_needs_no_materialization_guard(self, family):
+        d = SeqDescriptor(family, _N, None if family == FAREY else _M)
+        assert d.n > MAX_ORDER
+        assert [(f.h, f.k) for f in islice(iter_terms(d), 3)] == _FIRST_THREE[family]
+
+    @pytest.mark.parametrize("family", sorted(_FIRST_THREE))
+    def test_membership_needs_no_materialization_guard(self, family):
+        d = SeqDescriptor(family, _N, None if family == FAREY else _M)
+        assert all(Frac(h, k) in d for h, k in _FIRST_THREE[family])
+        assert Frac(*_PAST_THE_BOX[family]) not in d
 
 
 class TestWalks:
-    """iter_pairs walks a one-bound and a two-bound row with its own loop.
+    """iter_pairs walks every row with one loop, in the row's (x, y).
     Checked against the brute-force oracles at orders past TestOneDefinition's,
-    for every m: m = 1 and m = n - 1, the first step from 0/1, where the
-    h-form is 0, and at n = 128 both halves."""
+    for every m: m = 1 and m = n - 1, the first step from 0/1, where x = 0,
+    and at n = 128 both halves."""
 
     @staticmethod
     def assert_walks(d, expected):
@@ -223,29 +265,16 @@ class TestWalks:
 
     @pytest.mark.parametrize("n", [64, 101, 128])
     def test_every_m_matches_oracles(self, n):
-        self.assert_walks(SeqDescriptor(FAREY, n), brute_farey(n))
-        for m in range(1, n):
-            self.assert_walks(SeqDescriptor(UPPER, n, m), brute_upper(n, m))
-            boolean = brute_boolean(n, m)
-            self.assert_walks(SeqDescriptor(BOOLEAN, n, m), boolean)
-            if n == 2 * m:
-                self.assert_walks(SeqDescriptor(LEFT_HALF, n, m),
-                                  [(h, k) for h, k in boolean if 2 * h <= k])
-                self.assert_walks(SeqDescriptor(RIGHT_HALF, n, m),
-                                  [(h, k) for h, k in boolean if 2 * h >= k])
-
-    @pytest.mark.parametrize("family", sorted(_FAMILIES))
-    def test_every_row_has_one_or_two_bounds(self, family):
-        bounds, _ = _FAMILIES[family]
-        assert len(bounds(12, 6)) in (1, 2)
+        for d in descriptors(n):
+            self.assert_walks(d, oracle(d))
 
     def test_bounds_read_once_per_call(self, monkeypatch):
-        bounds, stretch = _FAMILIES[UPPER]
+        shear, box, stretch = _FAMILIES[UPPER]
         reads = []
         monkeypatch.setitem(_FAMILIES, UPPER,
-                            (lambda n, m: reads.append(n) or bounds(n, m), stretch))
+                            (shear, lambda n, m: reads.append((n, m)) or box(n, m), stretch))
         assert list(iter_pairs(SeqDescriptor(UPPER, 30, 12))) == brute_upper(30, 12)
-        assert reads == [30]
+        assert reads == [(30, 12)]
 
 
 class TestPairs:
