@@ -30,6 +30,14 @@ as +1; `index` and `count` read the family's rank and size from
 _POINT_FAMILIES.  Each point verb refuses a bad --m in one wording, through
 sequences._point_sequence; verify reads _SUITES.  The keys of these two
 tables are the --family and --suite choices.
+
+Each verify sweep is a list of units: zero-argument callables that return
+their checks, in order, and share no state.  _run_units runs every unit of
+a call.  When os.fork exists, the process may run on a second CPU and no
+other thread runs, a forked child computes the odd-numbered units and
+pickles their checks into a pipe, while this process computes the
+even-numbered ones and prints every check in order, so stdout, stderr and
+the exit status are those of one process.  Otherwise every unit runs here.
 """
 
 from __future__ import annotations
@@ -37,9 +45,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
+from functools import partial
 from itertools import islice
 from math import comb
-from typing import Iterator
 
 from . import identities as ident
 from . import lattice
@@ -163,26 +172,34 @@ def _cmd_count(args, out) -> int:
 # ----- verify sweeps -------------------------------------------------------
 
 Check = tuple[str, bool, str]  # label, ok, failure detail
+# a sweep's unit of work: it returns its checks, in order, and shares no state
+Unit = Callable[[], list[Check]]
 
 
-def _sweep_bijections(max_n: int, max_m: int) -> Iterator[Check]:
-    for m in range(2, max_m + 1):
-        for report in verify_catalog(2 * m, m):
-            yield (f"bijection {report.name} n={report.n} m={report.m}",
-                   report.passed, str(report.counterexample or ""))
-        try:
-            quarter_indices(m)
-            ok, detail = True, ""
-        except ArithmeticError as exc:
-            ok, detail = False, str(exc)
-        yield (f"quarter-indices m={m}", ok, detail)
-    for n in range(2, max_n + 1):
-        for m in range(1, n):
-            report = verify_map(catalog(n, m)[0])
-            yield (f"bijection {report.name} n={n} m={m}",
-                   report.passed, str(report.counterexample or ""))
-    for label, ok in matrix_coherence_checks():
-        yield (f"matrix {label}", ok, "")
+def _bijection_check(report) -> Check:
+    return (f"bijection {report.name} n={report.n} m={report.m}",
+            report.passed, str(report.counterexample or ""))
+
+
+def _catalog_unit(m: int) -> list[Check]:
+    # verify_catalog's eleven maps and the quarter indices read the same four walks
+    checks = [_bijection_check(report) for report in verify_catalog(2 * m, m)]
+    try:
+        quarter_indices(m)
+        ok, detail = True, ""
+    except ArithmeticError as exc:
+        ok, detail = False, str(exc)
+    checks.append((f"quarter-indices m={m}", ok, detail))
+    return checks
+
+
+def _sweep_bijections(max_n: int, max_m: int) -> list[Unit]:
+    return [
+        *(partial(_catalog_unit, m) for m in range(2, max_m + 1)),
+        *(lambda n=n, m=m: [_bijection_check(verify_map(catalog(n, m)[0]))]
+          for n in range(2, max_n + 1) for m in range(1, n)),
+        lambda: [(f"matrix {label}", ok, "") for label, ok in matrix_coherence_checks()],
+    ]
 
 
 def _check_report(report: ident.IdentityReport) -> Check:
@@ -191,70 +208,68 @@ def _check_report(report: ident.IdentityReport) -> Check:
             "" if report.passed else f"lhs={report.lhs} rhs={report.rhs}")
 
 
-def _sweep_identities(max_n: int, max_m: int) -> Iterator[Check]:
+def _sizes_unit(max_m: int) -> list[Check]:
     # both closed forms read one Moebius sum, so the relation is checked on generated counts
-    generated = {}
+    checks, generated = [], {}
     for m in range(1, max_m + 1):
         for family, (_, size) in _POINT_FAMILIES.items():
             got, want = sum(1 for _ in iter_pairs(_point_sequence(family, m))), size(m)
             generated[family, m] = got
-            yield (f"size {family} m={m}", got == want, f"generated {got}, closed form {want}")
+            checks.append((f"size {family} m={m}", got == want,
+                           f"generated {got}, closed form {want}"))
     for m in range(2, max_m + 1):
         lhs, rhs = generated["boolean", m], 2 * generated["farey", m] - 1
-        yield (f"size relation m={m}", lhs == rhs, f"{lhs} != 2*|F_m|-1 = {rhs}")
-    for n in range(2, max_n + 1):
-        for m in range(1, n):
-            yield _check_report(ident.interior_duality(n, m))
-    for m in range(2, max_m + 1):
-        for report in ident.symmetric_identities(m) + ident.farey_identities(m):
-            yield _check_report(report)
-    for m in range(2, max_m + 1):
-        ok = all(
-            ident.phi_interval(h, 2 * h + 1, h + m) == ident.phi_interval(h, h + 1, m)
-            for h in range(1, m + 1)
-        )
-        yield (f"totient chain m={m}", ok, "")
+        checks.append((f"size relation m={m}", lhs == rhs, f"{lhs} != 2*|F_m|-1 = {rhs}"))
+    return checks
+
+
+def _totient_chain_unit(m: int) -> list[Check]:
+    ok = all(
+        ident.phi_interval(h, 2 * h + 1, h + m) == ident.phi_interval(h, h + 1, m)
+        for h in range(1, m + 1)
+    )
+    return [(f"totient chain m={m}", ok, "")]
+
+
+def _sweep_identities(max_n: int, max_m: int) -> list[Unit]:
     span = 2 * max_m
-    for h in range(1, max_m + 1):
-        # h's tables are read once; each interval is still counted both ways,
-        # by the cores the public functions call, and never from prefix differences
-        divisors, divisor_sum = ident._squarefree_divisors(h), ident._divisor_sum
-        if h <= ident._PREFIX_MAX_H:
-            prefix, count = ident._coprime_prefix(h), ident._coprime_count
-        else:  # phi_interval's gcd count, which builds no table for this h
-            prefix, count = None, lambda h, _, i, l: ident.phi_interval(h, i, l)
-        ok = all(
-            divisor_sum(divisors, lo, hi) == count(h, prefix, lo + 1, hi)
-            for lo in range(span) for hi in range(lo + 1, span + 1)
-        )
-        yield (f"totient divisor-sum h={h}", ok, "")
+    return [
+        partial(_sizes_unit, max_m),
+        *(lambda n=n, m=m: [_check_report(ident.interior_duality(n, m))]
+          for n in range(2, max_n + 1) for m in range(1, n)),
+        *(lambda m=m: [_check_report(report) for report in
+                       ident.symmetric_identities(m) + ident.farey_identities(m)]
+          for m in range(2, max_m + 1)),
+        *(partial(_totient_chain_unit, m) for m in range(2, max_m + 1)),
+        *(lambda h=h: [(f"totient divisor-sum h={h}", ident._divisor_sum_check(h, span), "")]
+          for h in range(1, max_m + 1)),
+    ]
 
 
-def _sweep_partition(max_n: int) -> Iterator[Check]:
-    for n in range(2, max_n + 1):
-        for m in range(1, n):
-            yield _check_report(ident.filter_partition(n, m))
+def _sweep_partition(max_n: int) -> list[Unit]:
+    return [lambda n=n, m=m: [_check_report(ident.filter_partition(n, m))]
+            for n in range(2, max_n + 1) for m in range(1, n)]
 
 
-def _sweep_oracle(max_n: int) -> Iterator[Check]:
-    top = min(max_n, lattice.ENUM_BOUND)
-    for n in range(2, top + 1):
-        for m in range(1, n):
-            scanned = lattice.enumerate_fractions(n, m)
-            same = scanned == list(iter_pairs(SeqDescriptor(BOOLEAN, n, m)))
-            yield (f"oracle enumerate n={n} m={m}", same, "")
-            ok = all(
-                lattice.count_exact_intersection(n, m, j, l) == comb(m, j) * comb(n - m, l - j)
-                for l in range(n + 1) for j in range(l + 1)
-            )
-            yield (f"oracle rank-counts n={n} m={m}", ok, "")
-            yield _check_report(lattice.filter_cardinality_check(n, m))
-    if max_n > top:
-        print(f"note: the oracle suite checked n = 2..{top} only; --max-n {max_n} exceeds "
-              f"lattice.ENUM_BOUND = {lattice.ENUM_BOUND}", file=sys.stderr)
+def _oracle_unit(n: int, m: int) -> list[Check]:
+    # all three checks read the one lattice scan of this (n, m)
+    scanned = lattice.enumerate_fractions(n, m)
+    same = scanned == list(iter_pairs(SeqDescriptor(BOOLEAN, n, m)))
+    ok = all(
+        lattice.count_exact_intersection(n, m, j, l) == comb(m, j) * comb(n - m, l - j)
+        for l in range(n + 1) for j in range(l + 1)
+    )
+    return [(f"oracle enumerate n={n} m={m}", same, ""),
+            (f"oracle rank-counts n={n} m={m}", ok, ""),
+            _check_report(lattice.filter_cardinality_check(n, m))]
 
 
-# suite -> its sweep of (max_n, max_m); `all` runs them in this order
+def _sweep_oracle(max_n: int) -> list[Unit]:
+    return [partial(_oracle_unit, n, m)
+            for n in range(2, min(max_n, lattice.ENUM_BOUND) + 1) for m in range(1, n)]
+
+
+# suite -> its sweep of (max_n, max_m), a list of units; `all` runs them in this order
 _SUITES = {
     "bijections": _sweep_bijections,
     "identities": _sweep_identities,
@@ -263,19 +278,108 @@ _SUITES = {
 }
 
 
+def _fork_child(units: list[Unit]):
+    """(pid, the read end of its pipe) of a forked child that computes units
+    in order, or (None, None) where no child runs: without os.fork or
+    os.sched_getaffinity, on one allowed CPU, beside another thread, or when
+    the fork fails.
+
+    The child pickles each unit's result into the pipe, as (True, its
+    checks) or (False, the exception it raised), and stops after an
+    exception.  It leaves only through os._exit, so it flushes none of the
+    parent's streams.
+    """
+    import threading
+
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
+        return None, None
+    import pickle
+
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        return None, None
+    if pid == 0:
+        try:
+            os.close(r)
+            with open(w, "wb") as pipe:
+                for unit in units:
+                    try:
+                        result = True, unit()
+                    except Exception as exc:
+                        result = False, exc
+                    pickle.dump(result, pipe)
+                    pipe.flush()
+                    if not result[0]:
+                        break
+        finally:
+            os._exit(0)
+    os.close(w)
+    return pid, open(r, "rb")
+
+
+def _run_units(units: list[Unit], emit: Callable[[list[Check]], None]) -> None:
+    """Call emit with each unit's checks, in the units' order.
+
+    Where _fork_child forks, its child computes the odd-numbered units while
+    this process computes the even-numbered ones and reads the child's
+    results between them.  A unit that raised in the child raises its
+    exception here, at its place; once the child is gone, this process
+    computes the units it left.  The child is killed and reaped on every
+    path out.  Without a child every unit runs here.
+    """
+    pid, pipe = _fork_child(units[1::2])
+    if pid is None:
+        for unit in units:
+            emit(unit())
+        return
+    import pickle
+    import signal
+
+    try:
+        for i, unit in enumerate(units):
+            if i % 2 and not pipe.closed:
+                try:
+                    done, value = pickle.load(pipe)
+                except Exception:  # EOF or a broken stream: the child is gone
+                    pipe.close()
+                else:
+                    if not done:
+                        raise value
+                    emit(value)
+                    continue
+            emit(unit())
+    finally:
+        pipe.close()
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+
+
 def _cmd_verify(args, out) -> int:
     # the sweeps start at n = m = 2; a smaller bound empties one, and an empty sweep must not pass
     if min(args.max_n, args.max_m) < 2:
         raise ValueError(f"--max-n and --max-m must be at least 2, got {args.max_n} and {args.max_m}")
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     total = failed = 0
-    for name in names:
-        for label, ok, detail in _SUITES[name](args.max_n, args.max_m):
+
+    def emit(checks: list[Check]) -> None:
+        nonlocal total, failed
+        for label, ok, detail in checks:
             total += 1
             print(("PASS " if ok else "FAIL ") + label, file=out)
             if not ok:
                 failed += 1
                 print(f"counterexample: {label}: {detail}", file=sys.stderr)
+
+    _run_units([unit for name in names for unit in _SUITES[name](args.max_n, args.max_m)], emit)
+    # the oracle suite runs last, so its note follows its checks
+    if "oracle" in names and args.max_n > lattice.ENUM_BOUND:
+        print(f"note: the oracle suite checked n = 2..{lattice.ENUM_BOUND} only; --max-n "
+              f"{args.max_n} exceeds lattice.ENUM_BOUND = {lattice.ENUM_BOUND}", file=sys.stderr)
     print(f"FAIL {failed}/{total}" if failed else f"PASS {total}/{total}", file=out)
     return 1 if failed else 0
 

@@ -20,9 +20,10 @@ which _pair_sum adds directly: the same exact int as the sum over s.
 The two interval totients, phi_interval by gcd and phi_interval_mobius by
 the divisor sum, are each their argument checks over a private core that
 takes h's cached table: _coprime_count reads h's coprime prefix table and
-_divisor_sum h's squarefree divisors.  verify's divisor-sum check reads both
-tables once per h and calls the two cores on every interval, so each side is
-the arithmetic the public function runs, without its checks and lookups.
+_divisor_sum h's squarefree divisors.  verify's divisor-sum check,
+_divisor_sum_check, reads both tables once per h and calls the two cores on
+every interval, so each side is the arithmetic the public function runs,
+without its checks and lookups.
 
 Every value here is an exact Python int; the sums grow like 2^(2m), so no
 floating point is allowed anywhere in this module.
@@ -176,6 +177,26 @@ def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
     if lower >= upper:
         raise ValueError(f"empty interval [{lower + 1}, {upper}]")
     return _divisor_sum(_squarefree_divisors(h), lower, upper)
+
+
+def _divisor_sum_check(h: int, span: int) -> bool:
+    """Whether the divisor sum and the gcd count agree on every interval
+    [lo + 1, hi] with 0 <= lo < hi <= span.
+
+    h's tables are read once; each interval is still counted both ways, by
+    the cores the public functions call, and never from prefix differences.
+    Above _PREFIX_MAX_H the gcd side is phi_interval's own count, which
+    builds no table for this h.  The cores are read here, at call time.
+    """
+    divisors, divisor_sum = _squarefree_divisors(h), _divisor_sum
+    if h <= _PREFIX_MAX_H:
+        prefix, count = _coprime_prefix(h), _coprime_count
+    else:
+        prefix, count = None, lambda h, _, i, l: phi_interval(h, i, l)
+    return all(
+        divisor_sum(divisors, lo, hi) == count(h, prefix, lo + 1, hi)
+        for lo in range(span) for hi in range(lo + 1, span + 1)
+    )
 
 
 def _mertens(n: int) -> dict[int, int]:

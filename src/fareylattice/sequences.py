@@ -21,18 +21,17 @@ Concrete Mathematics, section 4.5), in (x, y): after consecutive terms
 x0/y0 < x1/y1 comes (t*x1 - x0)/(t*y1 - y0) for the largest t that keeps
 it in the box.  That t is (B + y0) // y1, unless the x it gives exceeds A,
 and then (A + x0) // x1; farey never exceeds A = n, so it takes one floor
-division per term.  k = y + c*x is linear, so it follows the same
-recurrence; iter_pairs carries (x, y, k) and emits (x, k).  Consecutive
-pairs satisfy h1*k0 - h0*k1 = 1, so every pair is already reduced;
-iter_terms wraps them as Frac without a gcd, and the CLI formats them
-straight from the ints.  A SeqDescriptor names a sequence as the named
-tuple (family, n, m), checked when built; `f in descriptor` tests the
-stretch and the box directly, and only the descriptor decides which
-(family, n, m) exist (halves need n = 2m).  FareySeq(descriptor) holds its
-terms as a tuple built from the descriptor alone, and compares, hashes and
-tests membership by the descriptor.  The builders farey(n),
-upper_subsequence(n, m), farey_boolean(n, m), left_half(n, m) and
-right_half(n, m) each materialize one descriptor.
+division per term.  iter_pairs carries (x, y) alone and emits each term
+as (h, k) = (x, y + c*x).  Consecutive pairs satisfy h1*k0 - h0*k1 = 1,
+so every pair is already reduced; iter_terms wraps them as Frac without a
+gcd, and the CLI formats them straight from the ints.  A SeqDescriptor
+names a sequence as the named tuple (family, n, m), checked when built;
+`f in descriptor` tests the stretch and the box directly, and only the
+descriptor decides which (family, n, m) exist (halves need n = 2m).
+FareySeq(descriptor) holds its terms as a tuple built from the descriptor
+alone, and compares, hashes and tests membership by the descriptor.  The
+builders farey(n), upper_subsequence(n, m), farey_boolean(n, m),
+left_half(n, m) and right_half(n, m) each materialize one descriptor.
 """
 
 from __future__ import annotations
@@ -177,15 +176,14 @@ def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
     t that keeps it in the box x <= A, y <= B: t = (B + y0) // y1, unless
     the x it gives exceeds A, and then t = (A + x0) // x1.  y1 = 0 only at
     the last term 1/0, and x1 = 0 only at the first term 0/1, whose next x
-    is -x0 = 1 <= A; so neither division is by zero.  k = y + c*x follows
-    the same recurrence, so each step carries (x, y, k) and emits (x, k).
-    Each step keeps x1*y0 - x0*y1 = h1*k0 - h0*k1 = 1, so every pair is
-    coprime without a gcd.
+    is -x0 = 1 <= A; so neither division is by zero.  Each step carries
+    (x, y) alone and emits (h, k) = (x, y + c*x).  Each step keeps
+    x1*y0 - x0*y1 = h1*k0 - h0*k1 = 1, so every pair is coprime without a
+    gcd.
     """
     c, box, ((x0, y0), (x1, y1), (x_last, y_last)) = _FAMILIES[d.family]
     a, b = box(d.n, d.m)
-    k0, k1 = y0 + c * x0, y1 + c * x1
-    yield x1, k1
+    yield x1, y1 + c * x1
     # y1 equals y_last only at the last term and, on 0/1 .. 1/1, at the first
     while y1 != y_last or x1 != x_last:
         t = (b + y0) // y1
@@ -195,8 +193,7 @@ def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
             x = t * x1 - x0
         x0, x1 = x1, x
         y0, y1 = y1, t * y1 - y0
-        k0, k1 = k1, t * k1 - k0
-        yield x, k1
+        yield x, y1 + c * x
 
 
 def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:

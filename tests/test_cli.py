@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -41,6 +42,11 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def sweep_in_process(units):
+    """The checks of a sweep's units, each unit run here, in order, when its turn comes."""
+    return (check for unit in units for check in unit())
 
 
 class TestGen:
@@ -440,7 +446,7 @@ class TestVerify:
         monkeypatch.setattr(ident, "phi_interval",
                             lambda h, i, l: calls.append((h, i, l)) or phi(h, i, l))
         checked = []
-        for label, ok, _ in cli._sweep_identities(2, 7):
+        for label, ok, _ in sweep_in_process(cli._sweep_identities(2, 7)):
             if label.startswith("totient chain m="):
                 m = int(label.rpartition("=")[2])
                 want = [c for h in range(1, m + 1) for c in ((h, 2 * h + 1, h + m), (h, h + 1, m))]
@@ -462,7 +468,7 @@ class TestVerify:
         want = [(lo, hi) for lo in range(14) for hi in range(lo + 1, 15)]
         assert len(want) == 105
         checked = []
-        for label, ok, _ in cli._sweep_identities(2, 7):
+        for label, ok, _ in sweep_in_process(cli._sweep_identities(2, 7)):
             if label.startswith("totient divisor-sum h="):
                 h = int(label.rpartition("=")[2])
                 divisors, prefix = ident._squarefree_divisors(h), ident._coprime_prefix(h)
@@ -480,7 +486,8 @@ class TestVerify:
         # above _PREFIX_MAX_H the gcd side is phi_interval's own count, and no prefix table is built
         monkeypatch.setattr(ident, "_PREFIX_MAX_H", 3)
         ident._coprime_prefix.cache_clear()
-        checks = [(label, ok) for label, ok, _ in cli._sweep_identities(2, 7) if "divisor-sum" in label]
+        checks = [(label, ok) for label, ok, _ in sweep_in_process(cli._sweep_identities(2, 7))
+                  if "divisor-sum" in label]
         assert checks == [(f"totient divisor-sum h={h}", True) for h in range(1, 8)]
         assert ident._coprime_prefix.cache_info().currsize == 3
 
@@ -577,6 +584,194 @@ class TestVerify:
         assert any(line.startswith("FAIL") for line in out.splitlines())
         assert out.splitlines()[-1].startswith("FAIL")
         assert "counterexample" in err
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The forks verify makes, counted, on a host it takes to have two CPUs."""
+    if not hasattr(os, "fork"):
+        pytest.skip("verify runs every unit in process without os.fork")
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    made, fork = [], os.fork
+
+    def counted():
+        made.append(os.getpid())
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    return made
+
+
+def no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    return True
+
+
+def session_members(sid):
+    """The pids of the processes in session sid, from /proc."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            # after the parenthesized name: state, ppid, pgrp, session
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:  # the process ended while listed
+            continue
+        if int(fields[3]) == sid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+class TestVerifyInTwoProcesses:
+    """A forked child computes every other unit; the output is the one-process output."""
+
+    def both_ways(self, capsys, monkeypatch, forks, *argv):
+        """(rc, out, err) of verify argv with the child and with os.fork removed."""
+        forked = run(capsys, "verify", *argv)
+        assert forks == [os.getpid()] and no_child_left()
+        monkeypatch.delattr(os, "fork")
+        alone = run(capsys, "verify", *argv)
+        assert forked == alone
+        return forked
+
+    @pytest.mark.parametrize("argv", [
+        ["--suite", "bijections", "--max-n", "6", "--max-m", "5"],
+        ["--suite", "identities", "--max-n", "6", "--max-m", "5"],
+        ["--suite", "partition", "--max-n", "7"],
+        ["--suite", "oracle", "--max-n", "7"],
+        ["--suite", "all"],
+    ])
+    def test_same_output_with_and_without_the_child(self, capsys, monkeypatch, forks, argv):
+        rc, out, err = self.both_ways(capsys, monkeypatch, forks, *argv)
+        assert rc == 0 and err == "" and out.splitlines()[-1].startswith("PASS")
+
+    def test_oracle_note_once_after_the_checks(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(cli.lattice, "ENUM_BOUND", 5)
+        rc, out, err = self.both_ways(capsys, monkeypatch, forks,
+                                      "--suite", "all", "--max-n", "6", "--max-m", "3")
+        assert rc == 0 and out.splitlines()[-1].startswith("PASS")
+        assert err == "note: the oracle suite checked n = 2..5 only; --max-n 6 " \
+                      "exceeds lattice.ENUM_BOUND = 5\n"
+
+    def test_fail_computed_by_the_child(self, capsys, monkeypatch, forks):
+        # the divisor sum is off by one for odd h only, whose units are all odd-numbered here
+        divisor_sum = ident._divisor_sum
+        monkeypatch.setattr(ident, "_divisor_sum", lambda divisors, lo, hi:
+                            divisor_sum(divisors, lo, hi) + (divisors[-1][0] % 2))
+        units = [[(label, ok) for label, ok, _ in unit()]
+                 for unit in cli._sweep_identities(4, 5)]
+        failing = [i for i, checks in enumerate(units) for _, ok in checks if not ok]
+        assert failing and all(i % 2 for i in failing)
+        rc, out, err = self.both_ways(capsys, monkeypatch, forks,
+                                      "--suite", "identities", "--max-n", "4", "--max-m", "5")
+        assert rc == 1
+        failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+        assert failed == [f"FAIL totient divisor-sum h={h}" for h in (1, 3, 5)] + \
+            [f"FAIL 3/{len(out.splitlines()) - 1}"]
+        assert err == "".join(f"counterexample: totient divisor-sum h={h}: \n" for h in (1, 3, 5))
+
+    def test_exception_in_a_child_unit(self, capsys, monkeypatch, forks):
+        farey_identities = ident.farey_identities
+
+        def broken(m):
+            if m == 2:
+                raise ArithmeticError("broken at m=2")
+            return farey_identities(m)
+
+        labels = [[label for label, _, _ in unit()] for unit in cli._sweep_identities(4, 5)]
+        place = next(i for i, unit in enumerate(labels) if "identity farey-interior m=2" in unit)
+        assert place % 2
+        monkeypatch.setattr(ident, "farey_identities", broken)
+        rc, out, err = self.both_ways(capsys, monkeypatch, forks,
+                                      "--suite", "identities", "--max-n", "4", "--max-m", "5")
+        assert (rc, err) == (2, "error: broken at m=2\n")
+        assert out.splitlines() == [f"PASS {label}" for unit in labels[:place] for label in unit]
+        assert no_child_left()
+
+    def test_child_dying_mid_call(self, capsys, monkeypatch, forks):
+        parent, symmetric_identities = os.getpid(), ident.symmetric_identities
+
+        def dies_in_child(m):
+            if os.getpid() != parent:
+                os._exit(1)
+            return symmetric_identities(m)
+
+        monkeypatch.setattr(ident, "symmetric_identities", dies_in_child)
+        rc, out, err = self.both_ways(capsys, monkeypatch, forks,
+                                      "--suite", "identities", "--max-n", "6", "--max-m", "5")
+        assert rc == 0 and err == "" and out.splitlines()[-1] == "PASS 58/58"
+
+    def test_each_unit_runs_once_in_one_process(self, forks, tmp_path):
+        # each unit appends its number and pid to one file; the child takes the odd ones
+        log = tmp_path / "units"
+
+        def unit(i):
+            def checks():
+                with open(log, "a") as f:
+                    f.write(f"{i} {os.getpid()}\n")
+                return [(f"unit {i}", True, "")]
+            return checks
+
+        emitted = []
+        cli._run_units([unit(i) for i in range(40)], emitted.extend)
+        assert [label for label, _, _ in emitted] == [f"unit {i}" for i in range(40)]
+        lines = log.read_text().splitlines()
+        ran = dict(map(int, line.split()) for line in lines)
+        assert sorted(ran) == list(range(40)) and len(lines) == 40
+        assert {ran[i] for i in range(0, 40, 2)} == {os.getpid()}
+        assert os.getpid() not in {ran[i] for i in range(1, 40, 2)}
+        assert no_child_left()
+
+    def test_failed_fork_runs_every_unit_in_process(self, capsys, monkeypatch, forks):
+        argv = ["verify", "--suite", "partition", "--max-n", "6"]
+        want = run(capsys, *argv)
+
+        def fails():
+            raise OSError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", fails)
+        assert run(capsys, *argv) == want
+
+    def test_no_child_on_one_cpu(self, capsys, monkeypatch, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        rc, _, _ = run(capsys, "verify", "--suite", "partition", "--max-n", "4")
+        assert rc == 0 and forks == []
+
+    def test_no_child_beside_another_thread(self, capsys, forks):
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            rc, _, _ = run(capsys, "verify", "--suite", "partition", "--max-n", "4")
+        finally:
+            release.set()
+            other.join()
+        assert rc == 0 and forks == []
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
+    def test_head_closing_the_pipe_leaves_no_process(self, forks):
+        # forks only skips a host without os.fork; the subprocess reports two CPUs itself.
+        # The CLI runs in its own session, so whatever it started keeps that session's id
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+                "from fareylattice.cli import main\nsys.exit(main())")
+        verify = subprocess.Popen(
+            [sys.executable, "-c", code, "verify", "--suite", "all", "--max-n", "16", "--max-m", "40"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True)
+        head = subprocess.Popen(["head", "-1"], stdin=verify.stdout, stdout=subprocess.PIPE)
+        verify.stdout.close()
+        try:
+            first, _ = head.communicate(timeout=60)
+            rc = verify.wait(timeout=60)
+        finally:
+            head.kill()
+            verify.kill()
+        assert first == b"PASS bijection complement n=4 m=2\n"
+        assert rc == 0 and verify.stderr.read() == b""
+        verify.stderr.close()
+        assert session_members(verify.pid) == []
 
 
 class TestNoSequenceBuilt:
@@ -804,18 +999,24 @@ class TestBrokenPipe:
 
 
 class TestImportGraph:
-    def test_cli_startup_needs_no_dataclasses_inspect_or_json(self):
-        # a bare interpreter started the same way sets the baseline
+    @staticmethod
+    def loaded(code, names):
+        """Which of names a fresh interpreter has imported once it has run code."""
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = ("import sys\n{}\n"
-                 "print(*(m for m in ('dataclasses', 'inspect', 'json') if m in sys.modules))")
+        probe = f"import sys\n{code}\nprint(*(m for m in {names!r} if m in sys.modules))"
+        return set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                                  text=True, check=True, timeout=60).stdout.split())
 
-        def loaded(code):
-            return set(subprocess.run([sys.executable, "-c", probe.format(code)], env=env,
-                                      capture_output=True, text=True, check=True,
-                                      timeout=60).stdout.split())
+    def test_cli_startup_needs_no_dataclasses_inspect_or_json(self):
+        # a bare interpreter started the same way sets the baseline
+        names = ("dataclasses", "inspect", "json")
+        bare = self.loaded("pass", names)
+        assert self.loaded("from fareylattice.cli import build_parser\nbuild_parser()", names) <= bare
 
-        bare = loaded("pass")
-        assert loaded("from fareylattice.cli import build_parser\nbuild_parser()") <= bare
+    def test_cli_startup_needs_no_pickle(self):
+        # only a verify call that forks its child imports pickle
+        bare = self.loaded("pass", ("pickle",))
+        assert self.loaded("from fareylattice.cli import build_parser\nbuild_parser()",
+                           ("pickle",)) <= bare
