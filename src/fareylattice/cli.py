@@ -33,11 +33,13 @@ tables are the --family and --suite choices.
 
 Each verify sweep is a list of units: zero-argument callables that return
 their checks, in order, and share no state.  _run_units runs every unit of
-a call.  When os.fork exists, the process may run on a second CPU and no
-other thread runs, a forked child computes the odd-numbered units and
-pickles their checks into a pipe, while this process computes the
-even-numbered ones and prints every check in order, so stdout, stderr and
-the exit status are those of one process.  Otherwise every unit runs here.
+a call.  When a call has two units or more, os.fork exists, the process
+may run on a second CPU and no other thread runs, a forked child computes
+the odd-numbered units and pickles their checks into a pipe, while this
+process computes the even-numbered ones and prints every check in order.
+The child stops at the first unit that raises, and this process computes
+every unit it did not deliver, so stdout, stderr, the exit status and any
+traceback are those of one process.  Without a child every unit runs here.
 """
 
 from __future__ import annotations
@@ -246,7 +248,7 @@ def _sweep_identities(max_n: int, max_m: int) -> list[Unit]:
     ]
 
 
-def _sweep_partition(max_n: int) -> list[Unit]:
+def _sweep_partition(max_n: int, max_m: int) -> list[Unit]:
     return [lambda n=n, m=m: [_check_report(ident.filter_partition(n, m))]
             for n in range(2, max_n + 1) for m in range(1, n)]
 
@@ -264,7 +266,7 @@ def _oracle_unit(n: int, m: int) -> list[Check]:
             _check_report(lattice.filter_cardinality_check(n, m))]
 
 
-def _sweep_oracle(max_n: int) -> list[Unit]:
+def _sweep_oracle(max_n: int, max_m: int) -> list[Unit]:
     return [partial(_oracle_unit, n, m)
             for n in range(2, min(max_n, lattice.ENUM_BOUND) + 1) for m in range(1, n)]
 
@@ -273,25 +275,24 @@ def _sweep_oracle(max_n: int) -> list[Unit]:
 _SUITES = {
     "bijections": _sweep_bijections,
     "identities": _sweep_identities,
-    "partition": lambda max_n, max_m: _sweep_partition(max_n),
-    "oracle": lambda max_n, max_m: _sweep_oracle(max_n),
+    "partition": _sweep_partition,
+    "oracle": _sweep_oracle,
 }
 
 
 def _fork_child(units: list[Unit]):
     """(pid, the read end of its pipe) of a forked child that computes units
-    in order, or (None, None) where no child runs: without os.fork or
-    os.sched_getaffinity, on one allowed CPU, beside another thread, or when
-    the fork fails.
+    in order, or (None, None) where no child runs: for no units, without
+    os.fork or os.sched_getaffinity, on one allowed CPU, beside another
+    thread, or when the fork fails.
 
-    The child pickles each unit's result into the pipe, as (True, its
-    checks) or (False, the exception it raised), and stops after an
-    exception.  It leaves only through os._exit, so it flushes none of the
-    parent's streams.
+    The child pickles each unit's checks into the pipe and stops at the
+    first unit that raises.  It leaves only through os._exit, so it flushes
+    none of the parent's streams and prints no traceback.
     """
     import threading
 
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if not (units and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
         return None, None
     import pickle
@@ -308,14 +309,8 @@ def _fork_child(units: list[Unit]):
             os.close(r)
             with open(w, "wb") as pipe:
                 for unit in units:
-                    try:
-                        result = True, unit()
-                    except Exception as exc:
-                        result = False, exc
-                    pickle.dump(result, pipe)
+                    pickle.dump(unit(), pipe)
                     pipe.flush()
-                    if not result[0]:
-                        break
         finally:
             os._exit(0)
     os.close(w)
@@ -325,38 +320,31 @@ def _fork_child(units: list[Unit]):
 def _run_units(units: list[Unit], emit: Callable[[list[Check]], None]) -> None:
     """Call emit with each unit's checks, in the units' order.
 
-    Where _fork_child forks, its child computes the odd-numbered units while
-    this process computes the even-numbered ones and reads the child's
-    results between them.  A unit that raised in the child raises its
-    exception here, at its place; once the child is gone, this process
-    computes the units it left.  The child is killed and reaped on every
-    path out.  Without a child every unit runs here.
+    Where _fork_child forks, its child computes the odd-numbered units and
+    this process reads their checks between its own.  This process computes
+    every unit the child did not deliver: the even-numbered ones, and the
+    odd-numbered ones from where the child stopped or died, so a unit that
+    raised in the child raises here, at its place, with its own traceback.
+    The pipe is closed, and the child killed and reaped, on every path out.
     """
     pid, pipe = _fork_child(units[1::2])
-    if pid is None:
-        for unit in units:
-            emit(unit())
-        return
-    import pickle
-    import signal
-
+    if pid is not None:
+        import pickle
+        import signal
     try:
         for i, unit in enumerate(units):
-            if i % 2 and not pipe.closed:
+            checks = None
+            if i % 2 and pid is not None and not pipe.closed:
                 try:
-                    done, value = pickle.load(pipe)
-                except Exception:  # EOF or a broken stream: the child is gone
+                    checks = pickle.load(pipe)
+                except Exception:  # EOF or a broken stream: the child stopped or died
                     pipe.close()
-                else:
-                    if not done:
-                        raise value
-                    emit(value)
-                    continue
-            emit(unit())
+            emit(unit() if checks is None else checks)
     finally:
-        pipe.close()
-        os.kill(pid, signal.SIGKILL)
-        os.waitpid(pid, 0)
+        if pid is not None:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def _cmd_verify(args, out) -> int:

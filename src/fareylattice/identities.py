@@ -9,6 +9,8 @@ sum runs over the blocks, weighted by Mertens differences M(last d) -
 M(first d - 1).  _mertens sieves mu only up to about n^(2/3) and gets M at
 the larger floor quotients of n from M(x) = 1 - sum_{d>=2} M(x // d).  The
 inner sum is the Euclid-like floor sum, so no count or rank builds a sequence.
+_point_rank ranks both point families in the (x, y) = (h, k - c*h) of the
+family's shear c: x/y in F_m at or below 1/1, its transpose y/x above it.
 
 Every identity's left side is one pair sum over a stretch of a sequence,
 sum_f sum_s C(M, s*a) * C(M', s*b), where a and b are linear forms in the
@@ -37,7 +39,7 @@ from math import comb, gcd, isqrt
 from operator import mul
 from typing import NamedTuple
 
-from .sequences import BOOLEAN, FAREY, SeqDescriptor, _point_sequence, iter_pairs
+from .sequences import _FAMILIES, BOOLEAN, FAREY, SeqDescriptor, _point_sequence, iter_pairs
 
 # The closed-form counts and the ranks sieve mu up to about m^(2/3) and keep
 # Mertens values at the ~2*sqrt(m) floor quotients of m; refuse orders above
@@ -281,13 +283,29 @@ def _check_unit(h: int, k: int) -> None:
         raise ValueError(f"{h}/{k} is not a fraction in [0/1, 1/1]")
 
 
+def _point_rank(family: str, h: int, k: int, m: int) -> int:
+    """Zero-based position of h/k in _point_sequence(family, m), by value.
+
+    x/y = h/(k - c*h), for the family's shear c, at or below 1/1 is its rank
+    in F_m.  Above it (boolean only) the complement h/k -> (k-h)/k reverses
+    the sequence and carries x/y to y/x, and the last term 1/1 sits at twice
+    the rank of 1/1 in F_m.  Every rank reads one Mertens table of m.
+    """
+    c = _FAMILIES[family][0]
+    x, y = h, k - c * h
+    blocks = _mobius_blocks(m)
+    if x <= y:
+        return _rank(x, y, blocks)
+    return 2 * _rank(1, 1, blocks) - _rank(y, x, blocks)
+
+
 def farey_rank(h: int, k: int, n: int) -> int:
     """Zero-based position of the term h/k of F_n, counted without building
     F_n: O(sqrt(n)) floor sums over the blocks of d where n // d is
     constant, each weighted by a Mertens difference.  For any h/k in [0, 1]
     it is the number of terms at or below h/k, less one."""
     _check_unit(h, k)
-    return _rank(h, k, _mobius_blocks(n))
+    return _point_rank(FAREY, h, k, n)
 
 
 def farey_size(m: int) -> int:
@@ -300,21 +318,11 @@ def farey_size(m: int) -> int:
 
 
 def farey_boolean_rank(h: int, k: int, m: int) -> int:
-    """Zero-based position of h/k in F(B(2m), m), by counting.
-
-    h/k is ranked by value; it need not be reduced.
-
-    At or left of 1/2 it is the rank of h/(k-h) in F_m.  Right of 1/2 the
-    complement h/k -> (k-h)/k reverses the sequence and carries the term to
-    the left half, where h/(k-h) becomes (k-h)/h: the position is
-    2 * rank(1/1) - rank((k-h)/h), since the last term 1/1 sits at twice
-    the rank of 1/1 in F_m.  Both sides read one Mertens table of m.
-    """
+    """Zero-based position of h/k in F(B(2m), m), by counting: at or left
+    of 1/2 the rank of h/(k-h) in F_m, right of it 2*rank(1/1) - rank((k-h)/h).
+    h/k is ranked by value; it need not be reduced."""
     _check_unit(h, k)
-    blocks = _mobius_blocks(m)
-    if 2 * h <= k:
-        return _rank(h, k - h, blocks)
-    return 2 * _rank(1, 1, blocks) - _rank(k - h, h, blocks)
+    return _point_rank(BOOLEAN, h, k, m)
 
 
 def farey_boolean_size(m: int) -> int:

@@ -5,15 +5,17 @@ four public functions each call it once.  It maps f to its image p/q in
 the order-m Farey sequence F_m and steps there: the unique x0 with
 p*x0 = -1 (mod q) in the window [m-q+1, m] gives the successor
 ((p*x0+1)/q) / x0, and the +1 congruence gives the predecessor the same
-way.  For farey the image is f itself.  The symmetric subsequence
-F(B(2m), m) splits at 1/2 into halves in monotone bijection with F_m, and f
-steps in the half that continues past it.  On the left half h/k maps to
-h/(k-h), carried back by p/q -> p/(p+q).  On the right half the paper
-conjugates through the order-reversing complement h/k -> (k-h)/k, so h/k
-maps to (k-h)/h and steps the other way.  f is a term exactly when its
-image is in F_m, q <= m: on a boolean term q = max(h, k-h), so this is the
-family's box, and it is the window's own precondition.  m = 1 needs no
-case of its own: its windows hold the one integer 1.
+way.  The image is read from the family's row of sequences._FAMILIES: in
+(x, y) = (h, k - c*h), for the shear c, both point families are the reduced
+x/y with x, y <= m.  At or below 1/1 that is F_m, and x/y is the image: f
+itself for farey (c = 0), h/(k-h) on boolean's left half (c = 1).  Above
+1/1, on boolean's right half, the paper conjugates through the
+order-reversing complement h/k -> (k-h)/k, so the transpose y/x is the
+image and steps the other way; at 1/1, boolean's 1/2, f steps in the half
+that continues past it.  f is a term exactly when its image is in F_m,
+q = max(x, y) <= m: that is the family's box, and the window's own
+precondition.  m = 1 needs no case of its own: its windows hold the one
+integer 1.
 
 solve_congruence_in_range is the public solver: its checks, then the private
 _solve.  _neighbor's window [m-q+1, m] holds q integers and its image p/q is
@@ -26,7 +28,7 @@ from __future__ import annotations
 from math import gcd
 
 from .fracs import Frac
-from .sequences import BOOLEAN, FAREY, _point_sequence
+from .sequences import _FAMILIES, BOOLEAN, FAREY, _point_sequence
 
 
 def solve_congruence_in_range(
@@ -63,33 +65,26 @@ def _neighbor(f: Frac, m: int, family: str, sign: int) -> Frac:
     """The term next to f in _point_sequence(family, m): sign -1 the
     successor, +1 the predecessor.
 
-    f is mapped to its F_m image p/q, which steps with sign s; f is a term
-    exactly when m is an int (not a bool) and q <= m.  One congruence step
-    in F_m, with its exactness re-checked as a guard on the solver, is
-    mapped back.
+    f is mapped to its F_m image p/q in the family's (x, y), which steps
+    with sign s; f is a term exactly when m is an int (not a bool) and
+    q <= m.  One congruence step in F_m, with its exactness re-checked as a
+    guard on the solver, is mapped back.
     """
-    h, k = f.h, f.k
-    # a boolean term steps in the half that continues past it: forward from
-    # 1/2 is the right half, back the left
-    if family == FAREY:
-        p, q, s = h, k, sign
-    elif 2 * h < k + (sign > 0):
-        p, q, s = h, k - h, sign
-    else:
-        # the complement (k-h)/k steps the other way on the left half
-        p, q, s = k - h, h, -sign
+    c = _FAMILIES[family][0]
+    x, y = f.h, f.k - c * f.h
+    # above 1/1, and at 1/1 when stepping onward, the transpose y/x steps the other way
+    p, q, s = (x, y, sign) if x < y + (sign > 0) else (y, x, -sign)
     if type(m) is not int or q > m:
         raise ValueError(f"{f} is not a term of {_point_sequence(family, m)}")
     # f is reduced with 0 <= h <= k, so h == k is 1/1 and h == 0 is 0/1
-    if h == (k if sign < 0 else 0):
+    if f.h == (f.k if sign < 0 else 0):
         raise ValueError("1/1 has no successor" if sign < 0 else "0/1 has no predecessor")
     x0 = _solve(p, q, s, m - q + 1)
     a, r = divmod(p * x0 - s, q)
     if r:
         raise ArithmeticError(f"inexact division stepping from {p}/{q} with m={m}")
-    if family == FAREY:
-        return Frac._coprime(a, x0)
-    return Frac._coprime(a, a + x0) if s == sign else Frac._coprime(x0, a + x0)
+    x, y = (a, x0) if s == sign else (x0, a)
+    return Frac._coprime(x, y + c * x)
 
 
 def next_in_farey(f: Frac, m: int) -> Frac:

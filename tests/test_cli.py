@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -6,6 +7,8 @@ import os
 import subprocess
 import sys
 import threading
+import traceback
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -608,6 +611,23 @@ def no_child_left():
     return True
 
 
+@contextlib.contextmanager
+def resource_warnings_are_errors():
+    """Run the block with ResourceWarning as an error, and fail if one was
+    raised where it cannot propagate, as from a file that only the collector
+    closes."""
+    raised, hook = [], sys.unraisablehook
+    sys.unraisablehook = raised.append
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", ResourceWarning)
+            yield
+            gc.collect()
+    finally:
+        sys.unraisablehook = hook
+    assert [str(args.exc_value) for args in raised] == []
+
+
 def session_members(sid):
     """The pids of the processes in session sid, from /proc."""
     members = []
@@ -688,6 +708,31 @@ class TestVerifyInTwoProcesses:
         assert out.splitlines() == [f"PASS {label}" for unit in labels[:place] for label in unit]
         assert no_child_left()
 
+    def test_uncaught_exception_in_a_child_unit_keeps_its_traceback(
+            self, capsys, monkeypatch, forks):
+        farey_identities = ident.farey_identities
+
+        def broken(m):
+            if m == 2:
+                raise TypeError("broken at m=2")
+            return farey_identities(m)
+
+        labels = [[label for label, _, _ in unit()] for unit in cli._sweep_identities(4, 5)]
+        assert next(i for i, unit in enumerate(labels) if "identity farey-interior m=2" in unit) % 2
+        monkeypatch.setattr(ident, "farey_identities", broken)
+
+        def frames():
+            with resource_warnings_are_errors(), pytest.raises(TypeError, match="m=2") as caught:
+                main(["verify", "--suite", "identities", "--max-n", "4", "--max-m", "5"])
+            capsys.readouterr()
+            return traceback.extract_tb(caught.value.__traceback__)
+
+        forked = frames()
+        assert forks == [os.getpid()] and no_child_left()
+        monkeypatch.delattr(os, "fork")
+        alone = frames()
+        assert forked == alone and forked[-1].name == "broken"
+
     def test_child_dying_mid_call(self, capsys, monkeypatch, forks):
         parent, symmetric_identities = os.getpid(), ident.symmetric_identities
 
@@ -700,6 +745,30 @@ class TestVerifyInTwoProcesses:
         rc, out, err = self.both_ways(capsys, monkeypatch, forks,
                                       "--suite", "identities", "--max-n", "6", "--max-m", "5")
         assert rc == 0 and err == "" and out.splitlines()[-1] == "PASS 58/58"
+
+    @pytest.mark.parametrize("case", ["one unit", "pass", "FAIL", "exception", "child's death"])
+    def test_no_path_leaves_the_pipe_open(self, capsys, monkeypatch, forks, case):
+        parent, divisor_sum = os.getpid(), ident._divisor_sum
+        farey_identities = ident.farey_identities
+
+        def broken(m):
+            if case == "exception" and m == 2:
+                raise ArithmeticError("broken at m=2")
+            if case == "child's death" and os.getpid() != parent:
+                os._exit(1)
+            return farey_identities(m)
+
+        monkeypatch.setattr(ident, "farey_identities", broken)
+        if case == "FAIL":
+            monkeypatch.setattr(ident, "_divisor_sum", lambda divisors, lo, hi:
+                                divisor_sum(divisors, lo, hi) + (divisors[-1][0] % 2))
+        # the one-unit call gives the child nothing to compute, so none is forked
+        argv = (["--suite", "partition", "--max-n", "2"] if case == "one unit" else
+                ["--suite", "identities", "--max-n", "4", "--max-m", "5"])
+        with resource_warnings_are_errors():
+            rc, _, _ = run(capsys, "verify", *argv)
+        assert rc == {"FAIL": 1, "exception": 2}.get(case, 0)
+        assert forks == ([] if case == "one unit" else [parent]) and no_child_left()
 
     def test_each_unit_runs_once_in_one_process(self, forks, tmp_path):
         # each unit appends its number and pid to one file; the child takes the odd ones

@@ -243,6 +243,17 @@ class TestRank:
         pairs = [(0, 1), (1, 3), (1, 2), (3, 4), (1, 1)]
         assert [rank(2 * h, 2 * k, 9) for h, k in pairs] == [rank(h, k, 9) for h, k in pairs]
 
+    @pytest.mark.parametrize("rank, h, k", [
+        (farey_rank, 1, 1), (farey_rank, 3, 3), (farey_boolean_rank, 1, 2),
+        (farey_boolean_rank, 3, 6), (farey_boolean_rank, 1, 3),
+    ])
+    def test_image_at_or_below_one_is_one_floor_sum_rank(self, monkeypatch, rank, h, k):
+        # only an image above 1/1 needs the rank of 1/1 as well; farey's size is one rank
+        calls, core = [], identities._rank
+        monkeypatch.setattr(identities, "_rank", lambda *args: calls.append(args) or core(*args))
+        rank(h, k, 9)
+        assert len(calls) == 1
+
 
 class TestInteriorDuality:
     def test_3_1(self):
