@@ -32,14 +32,17 @@ sequences._point_sequence; verify reads _SUITES.  The keys of these two
 tables are the --family and --suite choices.
 
 Each verify sweep is a list of units: zero-argument callables that return
-their checks, in order, and share no state.  _run_units runs every unit of
-a call.  When a call has two units or more, os.fork exists, the process
-may run on a second CPU and no other thread runs, a forked child computes
-the odd-numbered units and pickles their checks into a pipe, while this
-process computes the even-numbered ones and prints every check in order.
-The child stops at the first unit that raises, and this process computes
-every unit it did not deliver, so stdout, stderr, the exit status and any
-traceback are those of one process.  Without a child every unit runs here.
+their checks, in order, and share no state.  One function, _run_units,
+runs every unit of a call: it opens the pipe, forks, reads the pipe, closes
+it, and kills and reaps the child.  When a call has two units or more,
+os.fork exists, the process may run on a second CPU and no other thread
+runs, a forked child computes the odd-numbered units and pickles their
+checks into a pipe, while this process computes the even-numbered ones and
+prints every check in order.  The child stops at the first unit that
+raises, and this process computes every unit it did not deliver, so stdout,
+stderr, the exit status and any traceback are those of one process.  A fork
+that fails leaves the pipe empty, which reads as a child that died at once:
+every unit runs here, as it does when no child is tried.
 """
 
 from __future__ import annotations
@@ -280,69 +283,54 @@ _SUITES = {
 }
 
 
-def _fork_child(units: list[Unit]):
-    """(pid, the read end of its pipe) of a forked child that computes units
-    in order, or (None, None) where no child runs: for no units, without
-    os.fork or os.sched_getaffinity, on one allowed CPU, beside another
-    thread, or when the fork fails.
-
-    The child pickles each unit's checks into the pipe and stops at the
-    first unit that raises.  It leaves only through os._exit, so it flushes
-    none of the parent's streams and prints no traceback.
-    """
-    import threading
-
-    if not (units and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
-        return None, None
-    import pickle
-
-    r, w = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(r)
-        os.close(w)
-        return None, None
-    if pid == 0:
-        try:
-            os.close(r)
-            with open(w, "wb") as pipe:
-                for unit in units:
-                    pickle.dump(unit(), pipe)
-                    pipe.flush()
-        finally:
-            os._exit(0)
-    os.close(w)
-    return pid, open(r, "rb")
-
-
 def _run_units(units: list[Unit], emit: Callable[[list[Check]], None]) -> None:
     """Call emit with each unit's checks, in the units' order.
 
-    Where _fork_child forks, its child computes the odd-numbered units and
-    this process reads their checks between its own.  This process computes
-    every unit the child did not deliver: the even-numbered ones, and the
-    odd-numbered ones from where the child stopped or died, so a unit that
-    raised in the child raises here, at its place, with its own traceback.
-    The pipe is closed, and the child killed and reaped, on every path out.
+    A forked child, where the module docstring says one runs, pickles the
+    checks of the odd-numbered units into a pipe and stops at the first unit
+    that raises.  It leaves only through os._exit, so it flushes none of this
+    process's streams and prints no traceback.  This process computes every
+    unit the pipe did not deliver, so a unit that raised in the child raises
+    here, at its place, with its own traceback.  The pipe is closed, and the
+    child killed and reaped, on every path out.
     """
-    pid, pipe = _fork_child(units[1::2])
-    if pid is not None:
+    import threading
+
+    pid = pipe = None
+    if (len(units) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
         import pickle
         import signal
+
+        r, w = os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no child: this process reads the empty pipe and computes every unit
+            pass
+        if pid == 0:
+            try:
+                os.close(r)
+                with open(w, "wb") as pipe:
+                    for unit in units[1::2]:
+                        pickle.dump(unit(), pipe)
+                        pipe.flush()
+            finally:
+                os._exit(0)
+        os.close(w)
+        pipe = open(r, "rb")
     try:
         for i, unit in enumerate(units):
             checks = None
-            if i % 2 and pid is not None and not pipe.closed:
+            if i % 2 and pipe and not pipe.closed:
                 try:
                     checks = pickle.load(pipe)
                 except Exception:  # EOF or a broken stream: the child stopped or died
                     pipe.close()
             emit(unit() if checks is None else checks)
     finally:
-        if pid is not None:
+        if pipe:
             pipe.close()
+        if pid is not None:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
 

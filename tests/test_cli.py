@@ -611,6 +611,16 @@ def no_child_left():
     return True
 
 
+def failed_fork():
+    raise OSError(11, "Resource temporarily unavailable")
+
+
+def open_fds():
+    """The names in /proc/self/fd, or None where there is no /proc."""
+    fds = Path("/proc/self/fd")
+    return sorted(os.listdir(fds)) if fds.is_dir() else None
+
+
 @contextlib.contextmanager
 def resource_warnings_are_errors():
     """Run the block with ResourceWarning as an error, and fail if one was
@@ -746,7 +756,8 @@ class TestVerifyInTwoProcesses:
                                       "--suite", "identities", "--max-n", "6", "--max-m", "5")
         assert rc == 0 and err == "" and out.splitlines()[-1] == "PASS 58/58"
 
-    @pytest.mark.parametrize("case", ["one unit", "pass", "FAIL", "exception", "child's death"])
+    @pytest.mark.parametrize("case", ["one unit", "pass", "FAIL", "exception", "child's death",
+                                      "failed fork"])
     def test_no_path_leaves_the_pipe_open(self, capsys, monkeypatch, forks, case):
         parent, divisor_sum = os.getpid(), ident._divisor_sum
         farey_identities = ident.farey_identities
@@ -762,17 +773,26 @@ class TestVerifyInTwoProcesses:
         if case == "FAIL":
             monkeypatch.setattr(ident, "_divisor_sum", lambda divisors, lo, hi:
                                 divisor_sum(divisors, lo, hi) + (divisors[-1][0] % 2))
+        if case == "failed fork":
+            monkeypatch.setattr(os, "fork", failed_fork)
         # the one-unit call gives the child nothing to compute, so none is forked
         argv = (["--suite", "partition", "--max-n", "2"] if case == "one unit" else
                 ["--suite", "identities", "--max-n", "4", "--max-m", "5"])
+        # a raw descriptor left open shows in /proc/self/fd, never as a ResourceWarning
+        gc.collect()
+        fds = open_fds()
         with resource_warnings_are_errors():
             rc, _, _ = run(capsys, "verify", *argv)
         assert rc == {"FAIL": 1, "exception": 2}.get(case, 0)
-        assert forks == ([] if case == "one unit" else [parent]) and no_child_left()
+        assert forks == ([] if case in ("one unit", "failed fork") else [parent]) and no_child_left()
+        assert open_fds() == fds
 
-    def test_each_unit_runs_once_in_one_process(self, forks, tmp_path):
-        # each unit appends its number and pid to one file; the child takes the odd ones
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 40])
+    def test_each_unit_runs_once_in_one_process(self, forks, tmp_path, count):
+        # each unit appends its number and pid to one file; from two units on, a child
+        # takes the odd ones
         log = tmp_path / "units"
+        log.touch()
 
         def unit(i):
             def checks():
@@ -782,23 +802,20 @@ class TestVerifyInTwoProcesses:
             return checks
 
         emitted = []
-        cli._run_units([unit(i) for i in range(40)], emitted.extend)
-        assert [label for label, _, _ in emitted] == [f"unit {i}" for i in range(40)]
+        cli._run_units([unit(i) for i in range(count)], emitted.extend)
+        assert forks == ([] if count < 2 else [os.getpid()])
+        assert [label for label, _, _ in emitted] == [f"unit {i}" for i in range(count)]
         lines = log.read_text().splitlines()
         ran = dict(map(int, line.split()) for line in lines)
-        assert sorted(ran) == list(range(40)) and len(lines) == 40
-        assert {ran[i] for i in range(0, 40, 2)} == {os.getpid()}
-        assert os.getpid() not in {ran[i] for i in range(1, 40, 2)}
+        assert sorted(ran) == list(range(count)) and len(lines) == count
+        assert all(ran[i] == os.getpid() for i in range(0, count, 2))
+        assert os.getpid() not in {ran[i] for i in range(1, count, 2)}
         assert no_child_left()
 
     def test_failed_fork_runs_every_unit_in_process(self, capsys, monkeypatch, forks):
         argv = ["verify", "--suite", "partition", "--max-n", "6"]
         want = run(capsys, *argv)
-
-        def fails():
-            raise OSError(11, "Resource temporarily unavailable")
-
-        monkeypatch.setattr(os, "fork", fails)
+        monkeypatch.setattr(os, "fork", failed_fork)
         assert run(capsys, *argv) == want
 
     def test_no_child_on_one_cpu(self, capsys, monkeypatch, forks):
