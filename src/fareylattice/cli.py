@@ -31,18 +31,18 @@ _POINT_FAMILIES.  Each point verb refuses a bad --m in one wording, through
 sequences._point_sequence; verify reads _SUITES.  The keys of these two
 tables are the --family and --suite choices.
 
-Each verify sweep is a list of units: zero-argument callables that return
+Each verify sweep is a stream of units: zero-argument callables that return
 their checks, in order, and share no state.  One function, _run_units,
-runs every unit of a call: it opens the pipe, forks, reads the pipe, closes
-it, and kills and reaps the child.  When a call has two units or more,
-os.fork exists, the process may run on a second CPU and no other thread
-runs, a forked child computes the odd-numbered units and pickles their
-checks into a pipe, while this process computes the even-numbered ones and
-prints every check in order.  The child stops at the first unit that
-raises, and this process computes every unit it did not deliver, so stdout,
-stderr, the exit status and any traceback are those of one process.  A fork
-that fails leaves the pipe empty, which reads as a child that died at once:
-every unit runs here, as it does when no child is tried.
+pulls each unit when its turn comes, so no call lists its units.  It opens
+the pipe, forks, reads the pipe, closes it, and kills and reaps the child.
+When a call has two units or more, os.fork exists, the process may run on a
+second CPU and no other thread runs, a forked child computes the
+odd-numbered units and pickles their checks into a pipe, while this process
+computes the even-numbered ones and prints every check in order.  The child
+stops at the first unit that raises, and this process computes every unit
+it did not deliver, so stdout, stderr, the exit status and any traceback
+are those of one process.  A fork that fails leaves the pipe empty, read as
+a child that died at once: every unit runs here.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from functools import partial
-from itertools import islice
+from itertools import chain, islice
 from math import comb
 
 from . import identities as ident
@@ -198,13 +198,11 @@ def _catalog_unit(m: int) -> list[Check]:
     return checks
 
 
-def _sweep_bijections(max_n: int, max_m: int) -> list[Unit]:
-    return [
-        *(partial(_catalog_unit, m) for m in range(2, max_m + 1)),
-        *(lambda n=n, m=m: [_bijection_check(verify_map(catalog(n, m)[0]))]
-          for n in range(2, max_n + 1) for m in range(1, n)),
-        lambda: [(f"matrix {label}", ok, "") for label, ok in matrix_coherence_checks()],
-    ]
+def _sweep_bijections(max_n: int, max_m: int) -> Iterator[Unit]:
+    yield from (partial(_catalog_unit, m) for m in range(2, max_m + 1))
+    yield from (lambda n=n, m=m: [_bijection_check(verify_map(catalog(n, m)[0]))]
+                for n in range(2, max_n + 1) for m in range(1, n))
+    yield lambda: [(f"matrix {label}", ok, "") for label, ok in matrix_coherence_checks()]
 
 
 def _check_report(report: ident.IdentityReport) -> Check:
@@ -236,24 +234,22 @@ def _totient_chain_unit(m: int) -> list[Check]:
     return [(f"totient chain m={m}", ok, "")]
 
 
-def _sweep_identities(max_n: int, max_m: int) -> list[Unit]:
+def _sweep_identities(max_n: int, max_m: int) -> Iterator[Unit]:
     span = 2 * max_m
-    return [
-        partial(_sizes_unit, max_m),
-        *(lambda n=n, m=m: [_check_report(ident.interior_duality(n, m))]
-          for n in range(2, max_n + 1) for m in range(1, n)),
-        *(lambda m=m: [_check_report(report) for report in
-                       ident.symmetric_identities(m) + ident.farey_identities(m)]
-          for m in range(2, max_m + 1)),
-        *(partial(_totient_chain_unit, m) for m in range(2, max_m + 1)),
-        *(lambda h=h: [(f"totient divisor-sum h={h}", ident._divisor_sum_check(h, span), "")]
-          for h in range(1, max_m + 1)),
-    ]
+    yield partial(_sizes_unit, max_m)
+    yield from (lambda n=n, m=m: [_check_report(ident.interior_duality(n, m))]
+                for n in range(2, max_n + 1) for m in range(1, n))
+    yield from (lambda m=m: [_check_report(report) for report in
+                             ident.symmetric_identities(m) + ident.farey_identities(m)]
+                for m in range(2, max_m + 1))
+    yield from (partial(_totient_chain_unit, m) for m in range(2, max_m + 1))
+    yield from (lambda h=h: [(f"totient divisor-sum h={h}", ident._divisor_sum_check(h, span), "")]
+                for h in range(1, max_m + 1))
 
 
-def _sweep_partition(max_n: int, max_m: int) -> list[Unit]:
-    return [lambda n=n, m=m: [_check_report(ident.filter_partition(n, m))]
-            for n in range(2, max_n + 1) for m in range(1, n)]
+def _sweep_partition(max_n: int, max_m: int) -> Iterator[Unit]:
+    return (lambda n=n, m=m: [_check_report(ident.filter_partition(n, m))]
+            for n in range(2, max_n + 1) for m in range(1, n))
 
 
 def _oracle_unit(n: int, m: int) -> list[Check]:
@@ -269,12 +265,12 @@ def _oracle_unit(n: int, m: int) -> list[Check]:
             _check_report(lattice.filter_cardinality_check(n, m))]
 
 
-def _sweep_oracle(max_n: int, max_m: int) -> list[Unit]:
-    return [partial(_oracle_unit, n, m)
-            for n in range(2, min(max_n, lattice.ENUM_BOUND) + 1) for m in range(1, n)]
+def _sweep_oracle(max_n: int, max_m: int) -> Iterator[Unit]:
+    return (partial(_oracle_unit, n, m)
+            for n in range(2, min(max_n, lattice.ENUM_BOUND) + 1) for m in range(1, n))
 
 
-# suite -> its sweep of (max_n, max_m), a list of units; `all` runs them in this order
+# suite -> its sweep of (max_n, max_m), a stream of units; `all` runs them in this order
 _SUITES = {
     "bijections": _sweep_bijections,
     "identities": _sweep_identities,
@@ -283,21 +279,24 @@ _SUITES = {
 }
 
 
-def _run_units(units: list[Unit], emit: Callable[[list[Check]], None]) -> None:
-    """Call emit with each unit's checks, in the units' order.
+def _run_units(units: Iterable[Unit], emit: Callable[[list[Check]], None]) -> None:
+    """Call emit with each unit's checks, in order, pulling each unit when its turn comes.
 
-    A forked child, where the module docstring says one runs, pickles the
-    checks of the odd-numbered units into a pipe and stops at the first unit
-    that raises.  It leaves only through os._exit, so it flushes none of this
-    process's streams and prints no traceback.  This process computes every
-    unit the pipe did not deliver, so a unit that raised in the child raises
-    here, at its place, with its own traceback.  The pipe is closed, and the
-    child killed and reaped, on every path out.
+    A forked child (see the module docstring) walks its own copy of the
+    stream, pickles the odd-numbered units' checks into a pipe and stops at
+    the first unit that raises.  It leaves only through os._exit, so it
+    flushes none of this process's streams and prints no traceback.  This
+    process computes every unit the pipe did not deliver, so a unit that
+    raised in the child raises here, at its place, with its own traceback.
+    The pipe is closed, and the child killed and reaped, on every path out.
     """
     import threading
 
+    units = iter(units)
+    head = list(islice(units, 2))  # enough to tell whether the child gets a unit
+    units = chain(head, units)
     pid = pipe = None
-    if (len(units) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if (len(head) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
         import pickle
         import signal
@@ -311,7 +310,7 @@ def _run_units(units: list[Unit], emit: Callable[[list[Check]], None]) -> None:
             try:
                 os.close(r)
                 with open(w, "wb") as pipe:
-                    for unit in units[1::2]:
+                    for unit in islice(units, 1, None, 2):
                         pickle.dump(unit(), pipe)
                         pipe.flush()
             finally:
@@ -351,7 +350,7 @@ def _cmd_verify(args, out) -> int:
                 failed += 1
                 print(f"counterexample: {label}: {detail}", file=sys.stderr)
 
-    _run_units([unit for name in names for unit in _SUITES[name](args.max_n, args.max_m)], emit)
+    _run_units(chain.from_iterable(_SUITES[name](args.max_n, args.max_m) for name in names), emit)
     # the oracle suite runs last, so its note follows its checks
     if "oracle" in names and args.max_n > lattice.ENUM_BOUND:
         print(f"note: the oracle suite checked n = 2..{lattice.ENUM_BOUND} only; --max-n "

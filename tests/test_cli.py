@@ -2,6 +2,7 @@ import contextlib
 import gc
 import hashlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -787,10 +788,13 @@ class TestVerifyInTwoProcesses:
         assert forks == ([] if case in ("one unit", "failed fork") else [parent]) and no_child_left()
         assert open_fds() == fds
 
-    @pytest.mark.parametrize("count", [0, 1, 2, 3, 40])
-    def test_each_unit_runs_once_in_one_process(self, forks, tmp_path, count):
+    @pytest.mark.parametrize("count, given", [
+        *(pytest.param(count, list, id=str(count)) for count in (0, 1, 2, 3, 40)),
+        *(pytest.param(count, iter, id=f"{count}-stream") for count in (0, 1, 2, 3, 40)),
+    ])
+    def test_each_unit_runs_once_in_one_process(self, forks, tmp_path, count, given):
         # each unit appends its number and pid to one file; from two units on, a child
-        # takes the odd ones
+        # takes the odd ones. The units come as a list or as a stream with no length
         log = tmp_path / "units"
         log.touch()
 
@@ -802,7 +806,7 @@ class TestVerifyInTwoProcesses:
             return checks
 
         emitted = []
-        cli._run_units([unit(i) for i in range(count)], emitted.extend)
+        cli._run_units(given(unit(i) for i in range(count)), emitted.extend)
         assert forks == ([] if count < 2 else [os.getpid()])
         assert [label for label, _, _ in emitted] == [f"unit {i}" for i in range(count)]
         lines = log.read_text().splitlines()
@@ -811,6 +815,30 @@ class TestVerifyInTwoProcesses:
         assert all(ran[i] == os.getpid() for i in range(0, count, 2))
         assert os.getpid() not in {ran[i] for i in range(1, count, 2)}
         assert no_child_left()
+
+    def test_units_are_pulled_as_they_run(self, forks):
+        # an endless stream: a runner that listed its units first would never emit one
+        class Stop(Exception):
+            pass
+
+        def units():
+            for i in itertools.count():
+                assert i < 10, f"unit {i} pulled ahead of the emitted ones"
+                yield lambda i=i: [(f"unit {i}", True, "")]
+
+        def emit(checks):
+            emitted.extend(checks)
+            if len(emitted) == 5:
+                raise Stop
+
+        emitted = []
+        gc.collect()
+        fds = open_fds()
+        with resource_warnings_are_errors(), pytest.raises(Stop):
+            cli._run_units(units(), emit)
+        assert [label for label, _, _ in emitted] == [f"unit {i}" for i in range(5)]
+        assert forks == [os.getpid()] and no_child_left()
+        assert open_fds() == fds
 
     def test_failed_fork_runs_every_unit_in_process(self, capsys, monkeypatch, forks):
         argv = ["verify", "--suite", "partition", "--max-n", "6"]
@@ -836,16 +864,31 @@ class TestVerifyInTwoProcesses:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
     def test_head_closing_the_pipe_leaves_no_process(self, forks):
+        self.head_closes_the_pipe("--max-n", "16", "--max-m", "40")
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
+    def test_head_closing_the_pipe_at_a_huge_max_n(self, forks):
+        # a call that listed its units before the first check would fail here with
+        # MemoryError and print nothing
+        self.head_closes_the_pipe("--max-n", "100000")
+
+    def head_closes_the_pipe(self, *bounds):
+        """Pipe verify --suite all with bounds into head -1, in 1 GiB of address space."""
         # forks only skips a host without os.fork; the subprocess reports two CPUs itself.
         # The CLI runs in its own session, so whatever it started keeps that session's id
+        import resource
+
+        def cap():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
         src = str(Path(__file__).resolve().parent.parent / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")])))
         code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
                 "from fareylattice.cli import main\nsys.exit(main())")
         verify = subprocess.Popen(
-            [sys.executable, "-c", code, "verify", "--suite", "all", "--max-n", "16", "--max-m", "40"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, start_new_session=True)
+            [sys.executable, "-c", code, "verify", "--suite", "all", *bounds], stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE, env=env, start_new_session=True, preexec_fn=cap)
         head = subprocess.Popen(["head", "-1"], stdin=verify.stdout, stdout=subprocess.PIPE)
         verify.stdout.close()
         try:
