@@ -5,20 +5,23 @@ usage errors (bad arguments, fractions outside the requested sequence).
 A reader that closes the output pipe early, as `| head` does, ends the
 command quietly with status 0.
 
-`gen` has one writer, _write, for both formats: it renders iter_pairs' int
-pairs in batches of GEN_BATCH terms, one write per batch, unchecked, since
-the walk ascends by construction.  Each h and k lies in 0..n, so up to
-order _TABLE_MAX_ORDER each term is joined from two tables of decimal
-strings for 0..n built once per call (plain "h/" and "k\\n", JSON ",[h," and
-"k]"), with no int-to-str conversion per term; above it each term is an
-f-string, and no table is built.  Neither format holds the sequence, so
-neither is bound by the materialization guard.  `index` and `count` never
-build a sequence either: they are Moebius counts (identities.farey_rank,
-farey_boolean_rank and the sizes), bounded by MAX_COUNT_ORDER.  Nor does
-verify's oracle suite, which compares the lattice scan's list of (h, k)
-pairs with iter_pairs' pairs.  At every (n, m) up to lattice.ENUM_BOUND
-that suite runs all three oracle checks (enumerate, rank-counts and
-filter-cardinality), each read from the one lattice scan of that (n, m).
+`gen` has one writer, _write, for both formats.  It writes the JSON head
+and the first term, then one string per piece of sequences._pieces: about
+GEN_BATCH consecutive terms each, walked from the piece's left term and
+rendered by one unit of _run_units, unchecked, since the walk ascends by
+construction.  Each h and k lies in 0..n, so up to order _TABLE_MAX_ORDER
+each term is joined from two tables of decimal strings for 0..n built once
+per call (plain "h/" and "k\\n", JSON ",[h," and "k]"), with no int-to-str
+conversion per term; above it each term is an f-string, and no table is
+built.  Neither format holds the sequence, only a piece's text at a time in
+each process, so neither is bound by the materialization guard.  `index`
+and `count` never build a sequence either: they are Moebius counts
+(identities.farey_rank, farey_boolean_rank and the sizes), bounded by
+MAX_COUNT_ORDER.  Nor does verify's oracle suite, which compares the
+lattice scan's list of (h, k) pairs with iter_pairs' pairs.  At every
+(n, m) up to lattice.ENUM_BOUND that suite runs all three oracle checks
+(enumerate, rank-counts and filter-cardinality), each read from the one
+lattice scan of that (n, m).
 
 Each verb is one row of _VERBS, which _add_verb adds to a parser.  When
 argv starts with a verb, main parses the rest with that verb's parser alone,
@@ -31,18 +34,19 @@ _POINT_FAMILIES.  Each point verb refuses a bad --m in one wording, through
 sequences._point_sequence; verify reads _SUITES.  The keys of these two
 tables are the --family and --suite choices.
 
-Each verify sweep is a stream of units: zero-argument callables that return
-their checks, in order, and share no state.  One function, _run_units,
+Each verify sweep, and each gen call, is a stream of units: zero-argument
+callables that share no state and return what the call emits, a sweep's
+checks, in order, or a piece of gen's text.  One function, _run_units,
 pulls each unit when its turn comes, so no call lists its units.  It opens
 the pipe, forks, reads the pipe, closes it, and kills and reaps the child.
 When a call has two units or more, os.fork exists, the process may run on a
 second CPU and no other thread runs, a forked child computes the
-odd-numbered units and pickles their checks into a pipe, while this process
-computes the even-numbered ones and prints every check in order.  The child
-stops at the first unit that raises, and this process computes every unit
-it did not deliver, so stdout, stderr, the exit status and any traceback
-are those of one process.  A fork that fails leaves the pipe empty, read as
-a child that died at once: every unit runs here.
+odd-numbered units and pickles their results into a pipe, while this
+process computes the even-numbered ones and emits every result in order.
+The child stops at the first unit that raises, and this process computes
+every unit it did not deliver, so stdout, stderr, the exit status and any
+traceback are those of one process.  A fork that fails leaves the pipe
+empty, read as a child that died at once: every unit runs here.
 """
 
 from __future__ import annotations
@@ -54,6 +58,7 @@ from collections.abc import Callable, Iterable, Iterator
 from functools import partial
 from itertools import chain, islice
 from math import comb
+from typing import TypeVar
 
 from . import identities as ident
 from . import lattice
@@ -73,11 +78,13 @@ from .sequences import (
     LEFT_HALF,
     RIGHT_HALF,
     SeqDescriptor,
+    _pieces,
     _point_sequence,
+    _walk,
     iter_pairs,
 )
 
-# terms per out.write in gen
+# about how many terms gen puts in one piece, rendered by one unit and written at once
 GEN_BATCH = 4096
 # gen joins each term from two tables of decimal strings for 0..n, built once
 # per call, when n is at most this order.  At 2**14 the two tables add about
@@ -87,7 +94,7 @@ _TABLE_MAX_ORDER = 2 ** 14
 
 
 def _batch_text(n: int, pre: str, sep: str, end: str):
-    """The function that renders a batch of (h, k) pairs, each in 0..n, as one
+    """The function that renders a piece of (h, k) pairs, each in 0..n, as one
     string of f"{pre}{h}{sep}{k}{end}" terms.  Up to _TABLE_MAX_ORDER it builds
     the tables f"{pre}{i}{sep}" and f"{i}{end}" for 0..n here, and joins each
     term from one string of each."""
@@ -99,19 +106,19 @@ def _batch_text(n: int, pre: str, sep: str, end: str):
 
 
 def _write(d: SeqDescriptor, fmt: str, out) -> None:
-    """Stream the sequence d names as fmt, "plain" or "json", one write per batch.
-    JSON writes its head on its own first and ends with "]}" and a newline."""
-    pairs = iter_pairs(d)
+    """Stream the sequence d names as fmt, "plain" or "json": the JSON head, the
+    first term, then one write per piece of sequences._pieces, each piece
+    rendered by one unit of _run_units, and last the tail, "]}" and a newline."""
     if fmt == "plain":
         text, tail = _batch_text(d.n, "", "/", "\n"), ""
     else:
         text, tail = _batch_text(d.n, ",[", ",", "]"), "]}\n"
         m = "null" if d.m is None else d.m
         out.write(f'{{"family":"{d.family}","n":{d.n},"m":{m},"terms":[')
-    # JSON's first term takes no comma; a plain batch never starts with one
-    out.write(text(islice(pairs, GEN_BATCH)).removeprefix(","))
-    while chunk := text(islice(pairs, GEN_BATCH)):
-        out.write(chunk)
+    # JSON's first term takes no comma; each piece renders the terms after its left one
+    out.write(text(islice(iter_pairs(d), 1)).removeprefix(","))
+    _run_units((lambda piece=piece: text(islice(_walk(d, *piece), 1, None))
+                for piece in _pieces(d, GEN_BATCH)), out.write)
     out.write(tail)
 
 
@@ -177,8 +184,10 @@ def _cmd_count(args, out) -> int:
 # ----- verify sweeps -------------------------------------------------------
 
 Check = tuple[str, bool, str]  # label, ok, failure detail
-# a sweep's unit of work: it returns its checks, in order, and shares no state
-Unit = Callable[[], list[Check]]
+T = TypeVar("T")
+# _run_units' unit of work: it returns what the call's emit takes (a sweep's checks,
+# in order, or a piece of gen's text) and shares no state
+Unit = Callable[[], T]
 
 
 def _bijection_check(report) -> Check:
@@ -279,11 +288,11 @@ _SUITES = {
 }
 
 
-def _run_units(units: Iterable[Unit], emit: Callable[[list[Check]], None]) -> None:
-    """Call emit with each unit's checks, in order, pulling each unit when its turn comes.
+def _run_units(units: Iterable[Unit[T]], emit: Callable[[T], None]) -> None:
+    """Call emit with each unit's result, in order, pulling each unit when its turn comes.
 
     A forked child (see the module docstring) walks its own copy of the
-    stream, pickles the odd-numbered units' checks into a pipe and stops at
+    stream, pickles the odd-numbered units' results into a pipe and stops at
     the first unit that raises.  It leaves only through os._exit, so it
     flushes none of this process's streams and prints no traceback.  This
     process computes every unit the pipe did not deliver, so a unit that
@@ -319,13 +328,13 @@ def _run_units(units: Iterable[Unit], emit: Callable[[list[Check]], None]) -> No
         pipe = open(r, "rb")
     try:
         for i, unit in enumerate(units):
-            checks = None
+            result = None
             if i % 2 and pipe and not pipe.closed:
                 try:
-                    checks = pickle.load(pipe)
+                    result = pickle.load(pipe)
                 except Exception:  # EOF or a broken stream: the child stopped or died
                     pipe.close()
-            emit(unit() if checks is None else checks)
+            emit(unit() if result is None else result)
     finally:
         if pipe:
             pipe.close()

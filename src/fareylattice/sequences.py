@@ -15,23 +15,46 @@ family is the reduced x/y in a stretch of [0/1, 1/0] with x <= A and y <= B:
 
 The shear c = 1 is the catalog's left-to-farey map h/k -> h/(k-h), which
 keeps the order and the determinant of consecutive terms.  Generation and
-membership both read that table.  iter_pairs streams the terms as (h, k)
-int pairs by the bounded next-term recurrence (Graham, Knuth and Patashnik,
-Concrete Mathematics, section 4.5), in (x, y): after consecutive terms
-x0/y0 < x1/y1 comes (t*x1 - x0)/(t*y1 - y0) for the largest t that keeps
-it in the box.  That t is (B + y0) // y1, unless the x it gives exceeds A,
-and then (A + x0) // x1; farey never exceeds A = n, so it takes one floor
-division per term.  iter_pairs carries (x, y) alone and emits each term
-as (h, k) = (x, y + c*x).  Consecutive pairs satisfy h1*k0 - h0*k1 = 1,
-so every pair is already reduced; iter_terms wraps them as Frac without a
-gcd, and the CLI formats them straight from the ints.  A SeqDescriptor
-names a sequence as the named tuple (family, n, m), checked when built;
-`f in descriptor` tests the stretch and the box directly, and only the
-descriptor decides which (family, n, m) exist (halves need n = 2m).
-FareySeq(descriptor) holds its terms as a tuple built from the descriptor
-alone, and compares, hashes and tests membership by the descriptor.  The
-builders farey(n), upper_subsequence(n, m), farey_boolean(n, m),
-left_half(n, m) and right_half(n, m) each materialize one descriptor.
+membership both read that table, whose stretch is its first and last term.
+One walk, _walk, streams the terms as (h, k) int pairs by the bounded
+next-term recurrence (Graham, Knuth and Patashnik, Concrete Mathematics,
+section 4.5), in (x, y).  It starts from a term and any neighbour to its
+right, a lattice point of determinant 1 against it: the term's successor
+is that neighbour plus the largest multiple of the term that stays in the
+box.  From then on, after consecutive terms x0/y0 < x1/y1 comes
+(t*x1 - x0)/(t*y1 - y0) for the largest t that keeps it in the box.  That
+t is (B + y0) // y1, unless the x it gives exceeds A, and then
+(A + x0) // x1; farey never exceeds A = n, so it takes one floor division
+per term.  The walk carries (x, y) alone and emits each term as
+(h, k) = (x, y + c*x).  iter_pairs is the walk from the stretch's first
+term, whose neighbour is 1/0.  Consecutive pairs satisfy
+h1*k0 - h0*k1 = 1, so every pair is already reduced; iter_terms wraps
+them as Frac without a gcd, and the CLI formats them straight from the
+ints.
+
+_pieces cuts a sequence into consecutive pieces (left term, its
+neighbour, right term) that the walk can take one at a time, in any
+process.  Between neighbours l < r, the terms are exactly the points
+i*l + j*r in the box with coprime i, j >= 1, and their number is at most
+the area of the wedge between l and r in the box.  So _pieces descends
+the box's Stern-Brocot tree of neighbour pairs from the stretch's ends,
+splitting a node at its mediant while 3/5 of that area (about 6/pi^2, the
+share of coprime pairs) exceeds the size asked for, and merges
+consecutive small leaves.  No float is used.  A piece holds about that
+many terms, or fewer: at 4096, the largest piece of farey(2000),
+boolean(20000, 7000) and the halves at n = 2400 holds 4147, 4214 and
+4142 terms.  A left run of the tree is taken in one step and holds one
+pending entry, so the pending state is a few entries: at most 6 at
+n = 20000, and 1 at n = 10^9.
+
+A SeqDescriptor names a sequence as the named tuple (family, n, m),
+checked when built; `f in descriptor` tests the stretch and the box
+directly, and only the descriptor decides which (family, n, m) exist
+(halves need n = 2m).  FareySeq(descriptor) holds its terms as a tuple
+built from the descriptor alone, and compares, hashes and tests
+membership by the descriptor.  The builders farey(n),
+upper_subsequence(n, m), farey_boolean(n, m), left_half(n, m) and
+right_half(n, m) each materialize one descriptor.
 """
 
 from __future__ import annotations
@@ -49,11 +72,11 @@ LEFT_HALF = "left-half"
 RIGHT_HALF = "right-half"
 
 
-# A stretch is the pair that starts generation (a virtual term x0/y0 with
-# x1*y0 - x0*y1 = 1, then the first term x1/y1) and the last term, in (x, y).
-_TO_ONE = ((-1, 0), (0, 1), (1, 1))
-_TO_INFINITY = ((-1, 0), (0, 1), (1, 0))
-_ONE_TO_INFINITY = ((0, 1), (1, 1), (1, 0))
+# A stretch is its first and last term, in (x, y); the two are neighbours,
+# x1*y0 - x0*y1 = 1, so every term between them is i*first + j*last.
+_TO_ONE = ((0, 1), (1, 1))
+_TO_INFINITY = ((0, 1), (1, 0))
+_ONE_TO_INFINITY = ((1, 1), (1, 0))
 
 # family -> (its shear c, its box (A, B) as a function of (n, m), its stretch)
 _FAMILIES = {
@@ -101,7 +124,7 @@ class SeqDescriptor(namedtuple("SeqDescriptor", ("family", "n", "m"), defaults=(
         """True when f is a term of the sequence: inside its stretch and box."""
         if not isinstance(f, Frac):
             return False
-        c, box, (_, (x0, y0), (x1, y1)) = _FAMILIES[self.family]
+        c, box, ((x0, y0), (x1, y1)) = _FAMILIES[self.family]
         a, b = box(self.n, self.m)
         x, y = f.h, f.k - c * f.h
         return x0 * y <= x * y0 and x * y1 <= x1 * y and x <= a and y <= b
@@ -169,20 +192,34 @@ class FareySeq:
 
 
 def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
-    """Terms of the sequence d names, ascending, as coprime (h, k) int pairs.
+    """Terms of the sequence d names, ascending, as coprime (h, k) int pairs:
+    the walk from the stretch's first term, whose neighbour 1/0 lies to its
+    right (both first terms, 0/1 and 1/1, have y = 1)."""
+    _, _, (first, last) = _FAMILIES[d.family]
+    return _walk(d, first, (1, 0), last)
 
-    The walk runs in the family's (x, y) = (h, k - c*h).  From consecutive
-    terms x0/y0 < x1/y1 the next is (t*x1 - x0)/(t*y1 - y0) for the largest
-    t that keeps it in the box x <= A, y <= B: t = (B + y0) // y1, unless
-    the x it gives exceeds A, and then t = (A + x0) // x1.  y1 = 0 only at
-    the last term 1/0, and x1 = 0 only at the first term 0/1, whose next x
-    is -x0 = 1 <= A; so neither division is by zero.  Each step carries
-    (x, y) alone and emits (h, k) = (x, y + c*x).  Each step keeps
-    x1*y0 - x0*y1 = h1*k0 - h0*k1 = 1, so every pair is coprime without a
-    gcd.
+
+def _walk(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
+          right: tuple[int, int]) -> Iterator[tuple[int, int]]:
+    """The terms of d from left through right, as (h, k) pairs.  left and
+    right are terms of d in (x, y), left < right, and partner is any lattice
+    point with partner_x*left_y - left_x*partner_y = 1.
+
+    The walk runs in the family's (x, y) = (h, k - c*h).  The points with
+    that determinant against left are partner + t*left, so left's successor
+    is the one for the largest t that stays in the box x <= A, y <= B.
+    With x0/y0 = -partner, and from then on the previous term, that is
+    (t*x1 - x0)/(t*y1 - y0): t = (B + y0) // y1, unless the x it gives
+    exceeds A, and then t = (A + x0) // x1.  y1 = 0 only at the last term
+    1/0, and x1 = 0 only at the first term 0/1, whose next x is -x0 = 1 <= A;
+    so neither division is by zero.  Each step carries (x, y) alone and emits
+    (h, k) = (x, y + c*x).  Each step keeps x1*y0 - x0*y1 = h1*k0 - h0*k1 = 1,
+    so every pair is coprime without a gcd.
     """
-    c, box, ((x0, y0), (x1, y1), (x_last, y_last)) = _FAMILIES[d.family]
+    c, box, _ = _FAMILIES[d.family]
     a, b = box(d.n, d.m)
+    (x1, y1), (x_last, y_last) = left, right
+    x0, y0 = -partner[0], -partner[1]
     yield x1, y1 + c * x1
     # y1 equals y_last only at the last term and, on 0/1 .. 1/1, at the first
     while y1 != y_last or x1 != x_last:
@@ -194,6 +231,113 @@ def iter_pairs(d: SeqDescriptor) -> Iterator[tuple[int, int]]:
         x0, x1 = x1, x
         y0, y1 = y1, t * y1 - y0
         yield x, y1 + c * x
+
+
+def _inner(l: tuple[int, int], r: tuple[int, int], a: int, b: int) -> int:
+    """About how many terms lie strictly between the neighbours l < r in the
+    box x <= a, y <= b: 0 when their mediant l + r is outside it, else 3/5
+    of the area of the wedge between l and r in the box.
+
+    Those terms are the coprime (i, j) >= 1 with i*l + j*r in the box.  Since
+    l and r have determinant 1, the wedge's area is that of the (i, j) it
+    holds, and each (i, j) >= 1 owns the unit square below and left of it,
+    inside the wedge's part of the box: so the area bounds the terms, and 3/5 is about 6/pi^2,
+    the share of coprime pairs.  The wedge leaves the box through its top
+    edge, its side, or both sides of the corner (a, b).
+    """
+    (lx, ly), (rx, ry) = l, r
+    if lx + rx > a or ly + ry > b:
+        return 0
+    if rx * b <= a * ry:
+        twice_area = b * b // (ly * ry)
+    elif lx * b >= a * ly:
+        twice_area = a * a // (lx * rx)
+    else:
+        twice_area = (2 * a * b * ly * rx - b * b * lx * rx - a * a * ly * ry) // (ly * rx)
+    return twice_area * 3 // 10
+
+
+def _steps(q: tuple[int, int], l: tuple[int, int], a: int, b: int) -> int:
+    """The largest t with q + t*l in the box x <= a, y <= b, for a left end l
+    (l_y > 0); below 0 when q itself lies outside the box."""
+    (qx, qy), (lx, ly) = q, l
+    t = (b - qy) // ly
+    return min(t, (a - qx) // lx) if lx else t if qx <= a else -1
+
+
+def _leaves(a: int, b: int, root, size: int) -> Iterator[tuple]:
+    """The leaves of the box's Stern-Brocot tree below the neighbours root,
+    in order, each as (its left term, a partner of that term, its right term,
+    its terms after the left one), all in (x, y).
+
+    A node (l, r) whose _inner estimate exceeds size splits at its mediant
+    l + r, which then lies in the box, into (l, l + r) and (l + r, r); else
+    it is the leaf (l, r, r, inner + 1).  A node's whole left run (l, r + j*l),
+    down to its first leaf, is taken in one step, by a binary search for that
+    leaf's j, and leaves one pending entry: the run's right siblings
+    P_i = (r + i*l, r + (i-1)*l), for i from j down to 1.  So the pending
+    entries are one per run on the path from the root.  The siblings whose
+    mediant 2r + (2i-1)*l leaves the box hold one term each, and up to size
+    of them are taken as one leaf.
+    """
+    pending = []  # (l, r, j): a left run whose siblings j, j-1, ..., 1 are still to come
+    node = root
+    while True:
+        if node is not None:
+            l, r = node
+            inner = _inner(l, r, a, b)
+            if inner > size:
+                (lx, ly), (rx, ry) = l, r
+                # at j = top the node's mediant r + (j+1)*l leaves the box, so it is a leaf
+                top, low = _steps(r, l, a, b), 1
+                while low < top:
+                    j = (low + top) // 2
+                    if _inner(l, (rx + j * lx, ry + j * ly), a, b) > size:
+                        low = j + 1
+                    else:
+                        top = j
+                pending.append((l, r, top))
+                node = l, (rx + top * lx, ry + top * ly)
+                continue
+            yield l, r, r, inner + 1
+        if not pending:
+            return
+        l, r, j = pending[-1]
+        (lx, ly), (rx, ry) = l, r
+        # sibling i is a single term when 2i - 1 > u, for the largest u with 2r + u*l in the box
+        singles = min(j - max(0, (_steps((2 * rx, 2 * ry), l, a, b) + 1) // 2), size)
+        i = j - max(singles, 1)  # the siblings j down to i + 1 are taken now
+        if i:
+            pending[-1] = l, r, i
+        else:
+            pending.pop()
+        node = (rx + j * lx, ry + j * ly), (rx + (j - 1) * lx, ry + (j - 1) * ly)
+        if singles > 0:
+            yield *node, (rx + i * lx, ry + i * ly), j - i
+            node = None
+
+
+def _pieces(d: SeqDescriptor, size: int) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Consecutive pieces (left, partner, right) of the sequence d names, in
+    (x, y), for _walk: the first from the stretch's first term, each next
+    from the last one's right, the last through the stretch's last term.  A
+    piece holds about size terms after its left one, or fewer.
+
+    The pieces are _leaves' leaves below the stretch's ends, which are
+    neighbours, merged while they are consecutive and their terms, as
+    estimated, stay within size.  A merged piece walks from its first leaf's
+    left term and partner.
+    """
+    _, box, root = _FAMILIES[d.family]
+    left = None
+    for l, p, r, count in _leaves(*box(d.n, d.m), root, size):
+        if left is not None and terms + count <= size:
+            right, terms = r, terms + count
+        else:
+            if left is not None:
+                yield left, partner, right
+            left, partner, right, terms = l, p, r, count
+    yield left, partner, right
 
 
 def iter_terms(d: SeqDescriptor) -> Iterator[Frac]:

@@ -32,6 +32,7 @@ from fareylattice.sequences import (
     RIGHT_HALF,
     UPPER,
     SeqDescriptor,
+    _pieces,
     _point_sequence,
     farey,
     farey_boolean,
@@ -592,9 +593,9 @@ class TestVerify:
 
 @pytest.fixture
 def forks(monkeypatch):
-    """The forks verify makes, counted, on a host it takes to have two CPUs."""
+    """The forks verify and gen make, counted, on a host they take to have two CPUs."""
     if not hasattr(os, "fork"):
-        pytest.skip("verify runs every unit in process without os.fork")
+        pytest.skip("verify and gen run every unit in process without os.fork")
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     made, fork = [], os.fork
 
@@ -864,43 +865,87 @@ class TestVerifyInTwoProcesses:
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
     def test_head_closing_the_pipe_leaves_no_process(self, forks):
-        self.head_closes_the_pipe("--max-n", "16", "--max-m", "40")
+        head_closes_the_pipe(["verify", "--suite", "all", "--max-n", "16", "--max-m", "40"],
+                             ["-1"], b"PASS bijection complement n=4 m=2\n")
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
     def test_head_closing_the_pipe_at_a_huge_max_n(self, forks):
         # a call that listed its units before the first check would fail here with
         # MemoryError and print nothing
-        self.head_closes_the_pipe("--max-n", "100000")
+        head_closes_the_pipe(["verify", "--suite", "all", "--max-n", "100000"],
+                             ["-1"], b"PASS bijection complement n=4 m=2\n")
 
-    def head_closes_the_pipe(self, *bounds):
-        """Pipe verify --suite all with bounds into head -1, in 1 GiB of address space."""
-        # forks only skips a host without os.fork; the subprocess reports two CPUs itself.
-        # The CLI runs in its own session, so whatever it started keeps that session's id
-        import resource
 
-        def cap():
-            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+def head_closes_the_pipe(argv, head_args, want):
+    """Pipe the CLI's argv into head with head_args, in 1 GiB of address space,
+    and check that head read want, and that the CLI exited 0, wrote nothing to
+    stderr and left no process behind."""
+    # forks only skips a host without os.fork; the subprocess reports two CPUs itself.
+    # The CLI runs in its own session, so whatever it started keeps that session's id
+    import resource
 
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
-                "from fareylattice.cli import main\nsys.exit(main())")
-        verify = subprocess.Popen(
-            [sys.executable, "-c", code, "verify", "--suite", "all", *bounds], stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE, env=env, start_new_session=True, preexec_fn=cap)
-        head = subprocess.Popen(["head", "-1"], stdin=verify.stdout, stdout=subprocess.PIPE)
-        verify.stdout.close()
-        try:
-            first, _ = head.communicate(timeout=60)
-            rc = verify.wait(timeout=60)
-        finally:
-            head.kill()
-            verify.kill()
-        assert first == b"PASS bijection complement n=4 m=2\n"
-        assert rc == 0 and verify.stderr.read() == b""
-        verify.stderr.close()
-        assert session_members(verify.pid) == []
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
+            "from fareylattice.cli import main\nsys.exit(main())")
+    cli_proc = subprocess.Popen(
+        [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE, env=env, start_new_session=True, preexec_fn=cap)
+    head = subprocess.Popen(["head", *head_args], stdin=cli_proc.stdout, stdout=subprocess.PIPE)
+    cli_proc.stdout.close()
+    try:
+        got, _ = head.communicate(timeout=60)
+        rc = cli_proc.wait(timeout=60)
+    finally:
+        head.kill()
+        cli_proc.kill()
+    assert got == want
+    assert rc == 0 and cli_proc.stderr.read() == b""
+    cli_proc.stderr.close()
+    assert session_members(cli_proc.pid) == []
+
+
+class TestGenInTwoProcesses:
+    """A forked child renders every other piece; the output is the one-process output."""
+
+    @pytest.mark.parametrize("case", ["fork", "one CPU", "failed fork"])
+    @pytest.mark.parametrize("argv, d", [
+        (["--family", "farey", "--n", "200"], SeqDescriptor(FAREY, 200)),
+        (["--family", "boolean", "--n", "300", "--m", "100"], SeqDescriptor(BOOLEAN, 300, 100)),
+        (["--family", "boolean", "--n", "400", "--m", "200", "--half", "right"],
+         SeqDescriptor(RIGHT_HALF, 400, 200)),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    def test_same_output_in_every_case(self, capsys, monkeypatch, forks, argv, d, fmt, case):
+        assert len(list(_pieces(d, cli.GEN_BATCH))) >= 3
+        pairs = list(iter_pairs(d))
+        if fmt == "plain":
+            want = "".join(f"{h}/{k}\n" for h, k in pairs)
+        else:
+            obj = {"family": d.family, "n": d.n, "m": d.m, "terms": [[h, k] for h, k in pairs]}
+            want = json.dumps(obj, separators=(",", ":")) + "\n"
+        if case == "one CPU":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        if case == "failed fork":
+            monkeypatch.setattr(os, "fork", failed_fork)
+        gc.collect()
+        fds = open_fds()
+        with resource_warnings_are_errors():
+            rc, out, err = run(capsys, "gen", *argv, "--format", fmt)
+        assert (rc, err) == (0, "")
+        assert first_difference(out, want) is None
+        assert forks == ([os.getpid()] if case == "fork" else []) and no_child_left()
+        assert open_fds() == fds
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
+    def test_head_closing_the_pipe_at_a_huge_order(self, forks):
+        head_closes_the_pipe(["gen", "--family", "farey", "--n", "1000000000"], ["-c", "64"],
+                             b"0/1\n1/1000000000\n1/999999999\n1/999999998\n1/999999997\n"
+                             b"1/999999996")
 
 
 class TestNoSequenceBuilt:

@@ -1,11 +1,14 @@
 import copy
 import pickle
 import re
-from itertools import islice
+import time
+import tracemalloc
+from itertools import chain, islice
 from math import gcd
 
 import pytest
 
+from fareylattice.cli import GEN_BATCH
 from fareylattice.fracs import HALF, Frac, UnimodularMap
 from fareylattice.identities import (
     farey_boolean_rank,
@@ -29,7 +32,9 @@ from fareylattice.sequences import (
     FareySeq,
     SeqDescriptor,
     _FAMILIES,
+    _pieces,
     _point_sequence,
+    _walk,
     farey,
     farey_boolean,
     iter_pairs,
@@ -275,6 +280,63 @@ class TestWalks:
                             (shear, lambda n, m: reads.append((n, m)) or box(n, m), stretch))
         assert list(iter_pairs(SeqDescriptor(UPPER, 30, 12))) == brute_upper(30, 12)
         assert reads == [(30, 12)]
+
+
+def walked(d, pieces, count):
+    """The first count pairs of: the first term of d, then each piece's walk after
+    its left term.  Bounded, so that a walk that misses its piece's end fails."""
+    after = (pair for piece in pieces for pair in islice(_walk(d, *piece), 1, None))
+    return list(islice(chain([next(iter_pairs(d))], after), count))
+
+
+class TestPieces:
+    """_pieces cuts a sequence into pieces that _walk walks one by one; joined
+    at their shared ends, they are the whole walk."""
+
+    @pytest.mark.parametrize("n", range(1, 50))
+    def test_walked_pieces_are_the_sequence(self, n):
+        for d in descriptors(n):
+            want = oracle(d)
+            assert list(islice(iter_pairs(d), len(want) + 1)) == want, d
+            for size in (1, 3, 64, GEN_BATCH):
+                # each piece holds a term, so a cutter that repeats itself stops here
+                pieces = list(islice(_pieces(d, size), len(want)))
+                # one pair past the sequence, so pieces that run on past its end fail
+                assert walked(d, pieces, len(want) + 1) == want, (d, size)
+                assert all(p[2] == q[0] for p, q in zip(pieces, pieces[1:])), (d, size)
+
+    @pytest.mark.parametrize("d", [
+        SeqDescriptor(FAREY, 2000), SeqDescriptor(BOOLEAN, 3000, 1000),
+        SeqDescriptor(UPPER, 3000, 700), SeqDescriptor(LEFT_HALF, 2400, 1200),
+        SeqDescriptor(RIGHT_HALF, 2400, 1200)], ids=str)
+    def test_no_piece_holds_more_than_twice_the_size(self, d):
+        after_first = sum(1 for _ in iter_pairs(d)) - 1
+        pieces, sizes, total = _pieces(d, GEN_BATCH), [], 0
+        # stops once the pieces hold as many terms as the sequence after its first,
+        # so a cutter that repeats itself fails here rather than runs on
+        for piece in pieces:
+            sizes.append(sum(1 for _ in islice(_walk(d, *piece), 1, after_first + 1)))
+            total += sizes[-1]
+            if total >= after_first:
+                break
+        assert total == after_first and next(pieces, None) is None
+        assert max(sizes) <= 2 * GEN_BATCH
+
+    @pytest.mark.parametrize("family", sorted(_FIRST_THREE))
+    def test_first_pieces_at_a_huge_order_are_quick_and_small(self, family):
+        # a cutter that split at every mediant down the left spine would take
+        # about 10^9 steps here before its first piece
+        d = SeqDescriptor(family, _N, None if family == FAREY else _M)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            pieces = list(islice(_pieces(d, GEN_BATCH), 3))
+            seconds = time.perf_counter() - start
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert seconds < 1 and peak < 2**20
+        assert walked(d, pieces, 3) == _FIRST_THREE[family]
 
 
 class TestPairs:
