@@ -39,10 +39,12 @@ callables that share no state and return what the call emits, a sweep's
 checks, in order, or a piece of gen's text.  One function, _run_units,
 pulls each unit when its turn comes, so no call lists its units.  It opens
 the pipe, forks, reads the pipe, closes it, and kills and reaps the child.
-When a call has two units or more, os.fork exists, the process may run on a
-second CPU and no other thread runs, a forked child computes the
-odd-numbered units and pickles their results into a pipe, while this
-process computes the even-numbered ones and emits every result in order.
+When a call has enough units (two for verify, _GEN_FORK_PIECES pieces for
+gen, below which the fork costs more than it saves), os.fork exists, the
+process may run on a second CPU and no other thread runs, a forked child
+computes the odd-numbered units and pickles their results into a pipe,
+while this process computes the even-numbered ones and emits every result
+in order.
 The child stops at the first unit that raises, and this process computes
 every unit it did not deliver, so stdout, stderr, the exit status and any
 traceback are those of one process.  A fork that fails leaves the pipe
@@ -86,6 +88,12 @@ from .sequences import (
 
 # about how many terms gen puts in one piece, rendered by one unit and written at once
 GEN_BATCH = 4096
+# gen forks only for a call of at least this many pieces.  With 2 vCPUs
+# (Python 3.11) running both processes at once, the fork, pipe and reap cost
+# a call about 1.5-2 ms: farey(n) of 2, 3, 4 and 6 pieces took 2.7, 1.6, 1.2
+# and 1.1 times as long forked as in one process, and of 8, 10 and 14 pieces
+# 0.91, 0.81 and 0.74 times.
+_GEN_FORK_PIECES = 8
 # gen joins each term from two tables of decimal strings for 0..n, built once
 # per call, when n is at most this order.  At 2**14 the two tables add about
 # 2 MiB of RSS and take about 10 ms to build (2 vCPUs, Python 3.11); above it
@@ -118,7 +126,7 @@ def _write(d: SeqDescriptor, fmt: str, out) -> None:
     # JSON's first term takes no comma; each piece renders the terms after its left one
     out.write(text(islice(iter_pairs(d), 1)).removeprefix(","))
     _run_units((lambda piece=piece: text(islice(_walk(d, *piece), 1, None))
-                for piece in _pieces(d, GEN_BATCH)), out.write)
+                for piece in _pieces(d, GEN_BATCH)), out.write, _GEN_FORK_PIECES)
     out.write(tail)
 
 
@@ -184,10 +192,10 @@ def _cmd_count(args, out) -> int:
 # ----- verify sweeps -------------------------------------------------------
 
 Check = tuple[str, bool, str]  # label, ok, failure detail
-T = TypeVar("T")
+_T = TypeVar("_T")
 # _run_units' unit of work: it returns what the call's emit takes (a sweep's checks,
 # in order, or a piece of gen's text) and shares no state
-Unit = Callable[[], T]
+Unit = Callable[[], _T]
 
 
 def _bijection_check(report) -> Check:
@@ -288,8 +296,12 @@ _SUITES = {
 }
 
 
-def _run_units(units: Iterable[Unit[T]], emit: Callable[[T], None]) -> None:
+def _run_units(units: Iterable[Unit[_T]], emit: Callable[[_T], None], least: int = 2) -> None:
     """Call emit with each unit's result, in order, pulling each unit when its turn comes.
+
+    A stream of fewer than least units (least >= 2) runs in this process
+    alone.  verify forks from two units on; gen asks for _GEN_FORK_PIECES,
+    as below it the fork costs more than the child's pieces save.
 
     A forked child (see the module docstring) walks its own copy of the
     stream, pickles the odd-numbered units' results into a pipe and stops at
@@ -302,10 +314,10 @@ def _run_units(units: Iterable[Unit[T]], emit: Callable[[T], None]) -> None:
     import threading
 
     units = iter(units)
-    head = list(islice(units, 2))  # enough to tell whether the child gets a unit
+    head = list(islice(units, least))  # enough to tell whether the call forks
     units = chain(head, units)
     pid = pipe = None
-    if (len(head) > 1 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    if (len(head) == least and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and len(os.sched_getaffinity(0)) > 1 and threading.active_count() == 1):
         import pickle
         import signal

@@ -42,10 +42,13 @@ splitting a node at its mediant while 3/5 of that area (about 6/pi^2, the
 share of coprime pairs) exceeds the size asked for, and merges
 consecutive small leaves.  No float is used.  A piece holds about that
 many terms, or fewer: at 4096, the largest piece of farey(2000),
-boolean(20000, 7000) and the halves at n = 2400 holds 4147, 4214 and
-4142 terms.  A left run of the tree is taken in one step and holds one
+boolean(3000, 1000) and the halves at n = 2400 holds 4147, 4151 and
+4128 terms.  A left run of the tree is taken in one step and holds one
 pending entry, so the pending state is a few entries: at most 6 at
-n = 20000, and 1 at n = 10^9.
+n = 20000, and 1 at n = 10^9.  The run's consecutive siblings are taken
+as one leaf while the estimate of their union fits the size, so a piece
+costs the cutter a bounded number of steps also where the leaves hold
+two or three terms, as they do near fractions of small denominator.
 
 A SeqDescriptor names a sequence as the named tuple (family, n, m),
 checked when built; `f in descriptor` tests the stretch and the box
@@ -234,24 +237,27 @@ def _walk(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
 
 
 def _inner(l: tuple[int, int], r: tuple[int, int], a: int, b: int) -> int:
-    """About how many terms lie strictly between the neighbours l < r in the
-    box x <= a, y <= b: 0 when their mediant l + r is outside it, else 3/5
-    of the area of the wedge between l and r in the box.
+    """About how many terms lie strictly between l < r in the box x <= a,
+    y <= b: 0 when their mediant l + r is outside it, else 3/5 of the area of
+    the wedge between l and r in the box.
 
-    Those terms are the coprime (i, j) >= 1 with i*l + j*r in the box.  Since
-    l and r have determinant 1, the wedge's area is that of the (i, j) it
-    holds, and each (i, j) >= 1 owns the unit square below and left of it,
-    inside the wedge's part of the box: so the area bounds the terms, and 3/5 is about 6/pi^2,
-    the share of coprime pairs.  The wedge leaves the box through its top
-    edge, its side, or both sides of the corner (a, b).
+    When l and r are neighbours, those terms are the coprime (i, j) >= 1 with
+    i*l + j*r in the box.  Since l and r have determinant 1, the wedge's area
+    is that of the (i, j) it holds, and each (i, j) >= 1 owns the unit square
+    below and left of it, inside the wedge's part of the box: so the area
+    bounds the terms, and 3/5 is about 6/pi^2, the share of coprime pairs.
+    When l and r are not neighbours, as for consecutive siblings in a run,
+    their wedge is the union of the neighbours' wedges between them, and its
+    area carries their determinant rx*ly - lx*ry.  The wedge leaves the box
+    through its top edge, its side, or both sides of the corner (a, b).
     """
     (lx, ly), (rx, ry) = l, r
     if lx + rx > a or ly + ry > b:
         return 0
     if rx * b <= a * ry:
-        twice_area = b * b // (ly * ry)
+        twice_area = b * b * (rx * ly - lx * ry) // (ly * ry)
     elif lx * b >= a * ly:
-        twice_area = a * a // (lx * rx)
+        twice_area = a * a * (rx * ly - lx * ry) // (lx * rx)
     else:
         twice_area = (2 * a * b * ly * rx - b * b * lx * rx - a * a * ly * ry) // (ly * rx)
     return twice_area * 3 // 10
@@ -268,7 +274,7 @@ def _steps(q: tuple[int, int], l: tuple[int, int], a: int, b: int) -> int:
 def _leaves(a: int, b: int, root, size: int) -> Iterator[tuple]:
     """The leaves of the box's Stern-Brocot tree below the neighbours root,
     in order, each as (its left term, a partner of that term, its right term,
-    its terms after the left one), all in (x, y).
+    about how many terms follow its left one), all in (x, y).
 
     A node (l, r) whose _inner estimate exceeds size splits at its mediant
     l + r, which then lies in the box, into (l, l + r) and (l + r, r); else
@@ -276,9 +282,14 @@ def _leaves(a: int, b: int, root, size: int) -> Iterator[tuple]:
     down to its first leaf, is taken in one step, by a binary search for that
     leaf's j, and leaves one pending entry: the run's right siblings
     P_i = (r + i*l, r + (i-1)*l), for i from j down to 1.  So the pending
-    entries are one per run on the path from the root.  The siblings whose
-    mediant 2r + (2i-1)*l leaves the box hold one term each, and up to size
-    of them are taken as one leaf.
+    entries are one per run on the path from the root.  The siblings
+    P_j .. P_(i+1) are taken as one leaf, for the smallest i at which they
+    hold size terms or fewer, by a second binary search, so that a piece
+    costs a bounded number of steps wherever its leaves are small.  Each
+    sibling holds its right term; those above s, whose mediant
+    2r + (2i-1)*l leaves the box, hold no other, and the rest about the
+    _inner estimate of their union.  A sibling that alone holds more is a
+    node.
     """
     pending = []  # (l, r, j): a left run whose siblings j, j-1, ..., 1 are still to come
     node = root
@@ -304,16 +315,30 @@ def _leaves(a: int, b: int, root, size: int) -> Iterator[tuple]:
             return
         l, r, j = pending[-1]
         (lx, ly), (rx, ry) = l, r
-        # sibling i is a single term when 2i - 1 > u, for the largest u with 2r + u*l in the box
-        singles = min(j - max(0, (_steps((2 * rx, 2 * ry), l, a, b) + 1) // 2), size)
-        i = j - max(singles, 1)  # the siblings j down to i + 1 are taken now
-        if i:
-            pending[-1] = l, r, i
+        # sibling i holds its mediant when 2i - 1 <= u, for the largest u with 2r + u*l in the box
+        s = min(j, max(0, (_steps((2 * rx, 2 * ry), l, a, b) + 1) // 2))
+
+        def terms(i: int) -> int:
+            """About how many terms the siblings j down to i + 1 hold."""
+            if i >= s:
+                return j - i
+            return j - i + _inner((rx + s * lx, ry + s * ly), (rx + i * lx, ry + i * ly), a, b)
+
+        low, i = max(0, j - size), j
+        while low < i:
+            mid = (low + i) // 2
+            if terms(mid) > size:
+                low = mid + 1
+            else:
+                i = mid
+        node = (rx + j * lx, ry + j * ly), (rx + (j - 1) * lx, ry + (j - 1) * ly)
+        rest = min(i, j - 1)  # the siblings still to come; P_j alone is a node when i = j
+        if rest:
+            pending[-1] = l, r, rest
         else:
             pending.pop()
-        node = (rx + j * lx, ry + j * ly), (rx + (j - 1) * lx, ry + (j - 1) * ly)
-        if singles > 0:
-            yield *node, (rx + i * lx, ry + i * ly), j - i
+        if i < j:
+            yield *node, (rx + i * lx, ry + i * ly), terms(i)
             node = None
 
 

@@ -914,14 +914,14 @@ class TestGenInTwoProcesses:
 
     @pytest.mark.parametrize("case", ["fork", "one CPU", "failed fork"])
     @pytest.mark.parametrize("argv, d", [
-        (["--family", "farey", "--n", "200"], SeqDescriptor(FAREY, 200)),
-        (["--family", "boolean", "--n", "300", "--m", "100"], SeqDescriptor(BOOLEAN, 300, 100)),
-        (["--family", "boolean", "--n", "400", "--m", "200", "--half", "right"],
-         SeqDescriptor(RIGHT_HALF, 400, 200)),
+        (["--family", "farey", "--n", "300"], SeqDescriptor(FAREY, 300)),
+        (["--family", "boolean", "--n", "500", "--m", "150"], SeqDescriptor(BOOLEAN, 500, 150)),
+        (["--family", "boolean", "--n", "600", "--m", "300", "--half", "right"],
+         SeqDescriptor(RIGHT_HALF, 600, 300)),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_same_output_in_every_case(self, capsys, monkeypatch, forks, argv, d, fmt, case):
-        assert len(list(_pieces(d, cli.GEN_BATCH))) >= 3
+        assert len(list(_pieces(d, cli.GEN_BATCH))) >= cli._GEN_FORK_PIECES
         pairs = list(iter_pairs(d))
         if fmt == "plain":
             want = "".join(f"{h}/{k}\n" for h, k in pairs)
@@ -940,6 +940,21 @@ class TestGenInTwoProcesses:
         assert first_difference(out, want) is None
         assert forks == ([os.getpid()] if case == "fork" else []) and no_child_left()
         assert open_fds() == fds
+
+    # 2, 4 and 7 pieces run in one process, 8 and 10 fork
+    @pytest.mark.parametrize("argv, d, forked", [
+        (["--family", "farey", "--n", "120"], SeqDescriptor(FAREY, 120), False),
+        (["--family", "boolean", "--n", "300", "--m", "100"], SeqDescriptor(BOOLEAN, 300, 100), False),
+        (["--family", "upper", "--n", "300", "--m", "200"], SeqDescriptor(UPPER, 300, 200), False),
+        (["--family", "farey", "--n", "287"], SeqDescriptor(FAREY, 287), True),
+        (["--family", "boolean", "--n", "500", "--m", "150"], SeqDescriptor(BOOLEAN, 500, 150), True),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_forks_only_from_enough_pieces(self, capsys, forks, argv, d, forked):
+        assert (len(list(_pieces(d, cli.GEN_BATCH))) >= cli._GEN_FORK_PIECES) == forked
+        rc, out, err = run(capsys, "gen", *argv)
+        assert (rc, err) == (0, "")
+        assert out == "".join(f"{h}/{k}\n" for h, k in iter_pairs(d))
+        assert forks == ([os.getpid()] if forked else []) and no_child_left()
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
     def test_head_closing_the_pipe_at_a_huge_order(self, forks):

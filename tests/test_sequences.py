@@ -8,6 +8,7 @@ from math import gcd
 
 import pytest
 
+from fareylattice import sequences
 from fareylattice.cli import GEN_BATCH
 from fareylattice.fracs import HALF, Frac, UnimodularMap
 from fareylattice.identities import (
@@ -321,6 +322,18 @@ class TestPieces:
                 break
         assert total == after_first and next(pieces, None) is None
         assert max(sizes) <= 2 * GEN_BATCH
+
+    @pytest.mark.parametrize("d", [
+        SeqDescriptor(FAREY, 10**6), SeqDescriptor(BOOLEAN, 10**6, 5 * 10**5)], ids=str)
+    def test_a_piece_costs_a_bounded_number_of_estimates(self, monkeypatch, d):
+        # near 0 these trees' leaves hold two or three terms each: taken one
+        # leaf at a time, the first 400 pieces cost 500 to 800 estimates each
+        calls, inner = [], sequences._inner
+        monkeypatch.setattr(sequences, "_inner", lambda *args: calls.append(args) or inner(*args))
+        pieces = list(islice(_pieces(d, GEN_BATCH), 400))
+        assert len(pieces) == 400 and len(calls) <= 32 * len(pieces)
+        held = sum(1 for piece in pieces[100:] for _ in islice(_walk(d, *piece), 1, None))
+        assert held >= len(pieces[100:]) * GEN_BATCH // 2
 
     @pytest.mark.parametrize("family", sorted(_FIRST_THREE))
     def test_first_pieces_at_a_huge_order_are_quick_and_small(self, family):
