@@ -10,12 +10,13 @@ and the first term, then one string per piece of sequences._pieces: about
 GEN_BATCH consecutive terms each, walked from the piece's left term and
 rendered by one unit of _run_units, unchecked, since the walk ascends by
 construction.  Each h and k lies in 0..n, so up to order _TABLE_MAX_ORDER
-each term is joined from two tables of decimal strings for 0..n built once
-per call (plain "h/" and "k\\n", JSON ",[h," and "k]"), with no int-to-str
-conversion per term; above it each term is an f-string, and no table is
-built.  Neither format holds the sequence, only a piece's text at a time in
-each process, so neither is bound by the materialization guard.  `index`
-and `count` never build a sequence either: they are Moebius counts
+sequences._walk_text steps the walk and appends each term's strings from
+two tables for 0..n built once per call (plain "h/" and "k\\n", JSON ",[h,"
+and "k]"), with no int-to-str conversion, pair or generator per term; above
+it each term of sequences._walk is an f-string, and no table is built.
+Neither format holds the sequence, only a piece's text at a time in each
+process, so neither is bound by the materialization guard.  `index` and
+`count` never build a sequence either: they are Moebius counts
 (identities.farey_rank, farey_boolean_rank and the sizes), bounded by
 MAX_COUNT_ORDER.  Nor does verify's oracle suite, which compares the
 lattice scan's list of (h, k) pairs with iter_pairs' pairs.  At every
@@ -83,6 +84,7 @@ from .sequences import (
     _pieces,
     _point_sequence,
     _walk,
+    _walk_text,
     iter_pairs,
 )
 
@@ -94,40 +96,40 @@ GEN_BATCH = 4096
 # and 1.1 times as long forked as in one process, and of 8, 10 and 14 pieces
 # 0.91, 0.81 and 0.74 times.
 _GEN_FORK_PIECES = 8
-# gen joins each term from two tables of decimal strings for 0..n, built once
+# gen renders each term from two tables of decimal strings for 0..n, built once
 # per call, when n is at most this order.  At 2**14 the two tables add about
-# 2 MiB of RSS and take about 10 ms to build (2 vCPUs, Python 3.11); above it
+# 2 MiB of RSS and take about 4 ms to build (2 vCPUs, Python 3.11); above it
 # each term is an f-string, so a huge order builds no table.
 _TABLE_MAX_ORDER = 2 ** 14
 
 
-def _batch_text(n: int, pre: str, sep: str, end: str):
-    """The function that renders a piece of (h, k) pairs, each in 0..n, as one
-    string of f"{pre}{h}{sep}{k}{end}" terms.  Up to _TABLE_MAX_ORDER it builds
-    the tables f"{pre}{i}{sep}" and f"{i}{end}" for 0..n here, and joins each
-    term from one string of each."""
-    if n > _TABLE_MAX_ORDER:
-        return lambda batch: "".join([f"{pre}{h}{sep}{k}{end}" for h, k in batch])
-    nums = [f"{pre}{i}{sep}" for i in range(n + 1)]
-    dens = [f"{i}{end}" for i in range(n + 1)]
-    return lambda batch: "".join([nums[h] + dens[k] for h, k in batch])
+def _piece_text(d: SeqDescriptor, pre: str, sep: str, end: str) -> Callable[[tuple], str]:
+    """The function that renders a piece of sequences._pieces after its left term as
+    one string of f"{pre}{h}{sep}{k}{end}" terms: by sequences._walk_text from tables
+    for 0..n built here up to _TABLE_MAX_ORDER, else by f-strings over sequences._walk."""
+    if d.n > _TABLE_MAX_ORDER:
+        return lambda piece: "".join([f"{pre}{h}{sep}{k}{end}"
+                                      for h, k in islice(_walk(d, *piece), 1, None)])
+    nums = [f"{pre}{i}{sep}" for i in range(d.n + 1)]
+    dens = [f"{i}{end}" for i in range(d.n + 1)]
+    return lambda piece: _walk_text(d, *piece, nums, dens)
 
 
 def _write(d: SeqDescriptor, fmt: str, out) -> None:
     """Stream the sequence d names as fmt, "plain" or "json": the JSON head, the
     first term, then one write per piece of sequences._pieces, each piece
     rendered by one unit of _run_units, and last the tail, "]}" and a newline."""
-    if fmt == "plain":
-        text, tail = _batch_text(d.n, "", "/", "\n"), ""
-    else:
-        text, tail = _batch_text(d.n, ",[", ",", "]"), "]}\n"
+    pre, sep, end = ("", "/", "\n") if fmt == "plain" else (",[", ",", "]")
+    if fmt == "json":
         m = "null" if d.m is None else d.m
         out.write(f'{{"family":"{d.family}","n":{d.n},"m":{m},"terms":[')
+    text = _piece_text(d, pre, sep, end)
     # JSON's first term takes no comma; each piece renders the terms after its left one
-    out.write(text(islice(iter_pairs(d), 1)).removeprefix(","))
-    _run_units((lambda piece=piece: text(islice(_walk(d, *piece), 1, None))
-                for piece in _pieces(d, GEN_BATCH)), out.write, _GEN_FORK_PIECES)
-    out.write(tail)
+    h, k = next(iter_pairs(d))
+    out.write(f"{pre}{h}{sep}{k}{end}".removeprefix(","))
+    _run_units((partial(text, piece) for piece in _pieces(d, GEN_BATCH)),
+               out.write, _GEN_FORK_PIECES)
+    out.write("]}\n" if fmt == "json" else "")
 
 
 def _cmd_gen(args, out) -> int:

@@ -16,21 +16,17 @@ family is the reduced x/y in a stretch of [0/1, 1/0] with x <= A and y <= B:
 The shear c = 1 is the catalog's left-to-farey map h/k -> h/(k-h), which
 keeps the order and the determinant of consecutive terms.  Generation and
 membership both read that table, whose stretch is its first and last term.
-One walk, _walk, streams the terms as (h, k) int pairs by the bounded
-next-term recurrence (Graham, Knuth and Patashnik, Concrete Mathematics,
-section 4.5), in (x, y).  It starts from a term and any neighbour to its
-right, a lattice point of determinant 1 against it: the term's successor
-is that neighbour plus the largest multiple of the term that stays in the
-box.  From then on, after consecutive terms x0/y0 < x1/y1 comes
-(t*x1 - x0)/(t*y1 - y0) for the largest t that keeps it in the box.  That
-t is (B + y0) // y1, unless the x it gives exceeds A, and then
-(A + x0) // x1; farey never exceeds A = n, so it takes one floor division
-per term.  The walk carries (x, y) alone and emits each term as
-(h, k) = (x, y + c*x).  iter_pairs is the walk from the stretch's first
-term, whose neighbour is 1/0.  Consecutive pairs satisfy
-h1*k0 - h0*k1 = 1, so every pair is already reduced; iter_terms wraps
-them as Frac without a gcd, and the CLI formats them straight from the
-ints.
+One recurrence walks the terms, in (x, y): the bounded next-term
+recurrence (Graham, Knuth and Patashnik, Concrete Mathematics, section
+4.5), from a term and any neighbour to its right, a lattice point of
+determinant 1 against it.  After consecutive terms x0/y0 < x1/y1 comes
+(t*x1 - x0)/(t*y1 - y0) for the largest t that keeps it in the box, in
+one floor division per term for farey and at most two for the others.
+_walk streams the terms as (h, k) = (x, y + c*x) int pairs; iter_pairs
+is _walk from the stretch's first term, whose neighbour is 1/0.  Each
+pair is reduced, as h1*k0 - h0*k1 = 1, so iter_terms wraps them as Frac
+without a gcd.  gen's pieces, up to cli._TABLE_MAX_ORDER, take _walk_text:
+the recurrence in one loop that appends each term's two table strings.
 
 _pieces cuts a sequence into consecutive pieces (left term, its
 neighbour, right term) that the walk can take one at a time, in any
@@ -217,7 +213,7 @@ def _walk(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
     1/0, and x1 = 0 only at the first term 0/1, whose next x is -x0 = 1 <= A;
     so neither division is by zero.  Each step carries (x, y) alone and emits
     (h, k) = (x, y + c*x).  Each step keeps x1*y0 - x0*y1 = h1*k0 - h0*k1 = 1,
-    so every pair is coprime without a gcd.
+    so every pair is coprime without a gcd.  _walk_text is the same recurrence.
     """
     c, box, _ = _FAMILIES[d.family]
     a, b = box(d.n, d.m)
@@ -234,6 +230,28 @@ def _walk(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
         x0, x1 = x1, x
         y0, y1 = y1, t * y1 - y0
         yield x, y1 + c * x
+
+
+def _walk_text(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
+               right: tuple[int, int], nums: list[str], dens: list[str]) -> str:
+    """_walk's terms after left, as nums[h] + dens[k] each, joined: its recurrence in one loop."""
+    c, box, _ = _FAMILIES[d.family]
+    a, b = box(d.n, d.m)
+    (x1, y1), (x_last, y_last) = left, right
+    x0, y0 = -partner[0], -partner[1]
+    text = []
+    append = text.append
+    while y1 != y_last or x1 != x_last:
+        t = (b + y0) // y1
+        x = t * x1 - x0
+        if x > a:
+            t = (a + x0) // x1
+            x = t * x1 - x0
+        x0, x1 = x1, x
+        y0, y1 = y1, t * y1 - y0
+        append(nums[x])
+        append(dens[y1 + c * x])
+    return "".join(text)
 
 
 def _inner(l: tuple[int, int], r: tuple[int, int], a: int, b: int) -> int:

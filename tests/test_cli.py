@@ -211,7 +211,8 @@ FORMATTER_SHAPES = [
 
 class TestGenFormatter:
     """Both formats against f-string and json.dumps renderings of the same pairs,
-    with the string tables (n within the bound) and without them (n above it)."""
+    with the string tables (n within the bound) and without them (n above it),
+    in pieces of GEN_BATCH terms and of about three."""
 
     @pytest.mark.parametrize("tables", [True, False], ids=["tables", "f-strings"])
     @pytest.mark.parametrize("fmt", ["plain", "json"])
@@ -231,6 +232,17 @@ class TestGenFormatter:
         rc, out, err = run(capsys, "gen", *argv, "--format", fmt)
         assert (rc, err) == (0, "")
         assert first_difference(out, want) is None
+
+    @pytest.mark.parametrize("tables", [True, False], ids=["tables", "f-strings"])
+    @pytest.mark.parametrize("fmt", ["plain", "json"])
+    @pytest.mark.parametrize("argv, d", FORMATTER_SHAPES,
+                             ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_matches_in_pieces_of_three(self, capsys, monkeypatch, argv, d, fmt, tables):
+        # pieces of three terms or so: 11 to 4,404 per shape, so gen crosses a piece
+        # edge every few terms, forked (from eight pieces on) or not
+        monkeypatch.setattr(cli, "GEN_BATCH", 3)
+        assert 4 * sum(1 for _ in _pieces(d, 3)) >= sum(1 for _ in iter_pairs(d)) - 1
+        self.test_matches_independent_rendering(capsys, monkeypatch, argv, d, fmt, tables)
 
 
 class TestNeighbor:

@@ -36,6 +36,7 @@ from fareylattice.sequences import (
     _pieces,
     _point_sequence,
     _walk,
+    _walk_text,
     farey,
     farey_boolean,
     iter_pairs,
@@ -305,6 +306,14 @@ class TestPieces:
                 # one pair past the sequence, so pieces that run on past its end fail
                 assert walked(d, pieces, len(want) + 1) == want, (d, size)
                 assert all(p[2] == q[0] for p, q in zip(pieces, pieces[1:])), (d, size)
+                # _walk_text renders the same terms as _walk, from both formats' tables
+                for pre, sep, end in (("", "/", "\n"), (",[", ",", "]")):
+                    nums = [f"{pre}{i}{sep}" for i in range(d.n + 1)]
+                    dens = [f"{i}{end}" for i in range(d.n + 1)]
+                    for piece in pieces:
+                        want_text = "".join(f"{pre}{h}{sep}{k}{end}"
+                                            for h, k in islice(_walk(d, *piece), 1, None))
+                        assert _walk_text(d, *piece, nums, dens) == want_text, (d, size, piece)
 
     @pytest.mark.parametrize("d", [
         SeqDescriptor(FAREY, 2000), SeqDescriptor(BOOLEAN, 3000, 1000),
