@@ -21,7 +21,8 @@ recurrence (Graham, Knuth and Patashnik, Concrete Mathematics, section
 4.5), from a term and any neighbour to its right, a lattice point of
 determinant 1 against it.  After consecutive terms x0/y0 < x1/y1 comes
 (t*x1 - x0)/(t*y1 - y0) for the largest t that keeps it in the box, in
-one floor division per term for farey and at most two for the others.
+one floor division per term for every family: the bound on y gives t up to
+the box's corner ray x/y = A/B, and the bound on x alone past it.
 _walk streams the terms as (h, k) = (x, y + c*x) int pairs; iter_pairs
 is _walk from the stretch's first term, whose neighbour is 1/0.  Each
 pair is reduced, as h1*k0 - h0*k1 = 1, so iter_terms wraps them as Frac
@@ -208,9 +209,15 @@ def _walk(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
     that determinant against left are partner + t*left, so left's successor
     is the one for the largest t that stays in the box x <= A, y <= B.
     With x0/y0 = -partner, and from then on the previous term, that is
-    (t*x1 - x0)/(t*y1 - y0): t = (B + y0) // y1, unless the x it gives
-    exceeds A, and then t = (A + x0) // x1.  y1 = 0 only at the last term
-    1/0, and x1 = 0 only at the first term 0/1, whose next x is -x0 = 1 <= A;
+    (t*x1 - x0)/(t*y1 - y0) for t the lesser of (B + y0) // y1 and
+    (A + x0) // x1.  Since (A + x0)*y1 - (B + y0)*x1 = A*y1 - B*x1 - 1, the
+    y bound is the lesser while x1/y1 lies left of the box's corner ray
+    x/y = A/B, so its x first exceeds A at a term on or past the ray; every
+    later term lies further right, where the x bound is the lesser.  So the
+    walk takes t = (B + y0) // y1 until the x it gives exceeds A, and from
+    that term on t = (A + x0) // x1 alone, in a second loop: one division
+    per term, two at the one step where the loops meet.  y1 = 0 only at the
+    last term 1/0, and x1 = 0 only at the first term 0/1, left of the ray;
     so neither division is by zero.  Each step carries (x, y) alone and emits
     (h, k) = (x, y + c*x).  Each step keeps x1*y0 - x0*y1 = h1*k0 - h0*k1 = 1,
     so every pair is coprime without a gcd.  _walk_text is the same recurrence.
@@ -225,8 +232,13 @@ def _walk(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
         t = (b + y0) // y1
         x = t * x1 - x0
         if x > a:
-            t = (a + x0) // x1
-            x = t * x1 - x0
+            break
+        x0, x1 = x1, x
+        y0, y1 = y1, t * y1 - y0
+        yield x, y1 + c * x
+    while y1 != y_last or x1 != x_last:
+        t = (a + x0) // x1
+        x = t * x1 - x0
         x0, x1 = x1, x
         y0, y1 = y1, t * y1 - y0
         yield x, y1 + c * x
@@ -234,7 +246,8 @@ def _walk(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
 
 def _walk_text(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int],
                right: tuple[int, int], nums: list[str], dens: list[str]) -> str:
-    """_walk's terms after left, as nums[h] + dens[k] each, joined: its recurrence in one loop."""
+    """_walk's terms after left, as nums[h] + dens[k] each, joined: the same
+    recurrence, in the same two loops, with no generator between them."""
     c, box, _ = _FAMILIES[d.family]
     a, b = box(d.n, d.m)
     (x1, y1), (x_last, y_last) = left, right
@@ -245,8 +258,14 @@ def _walk_text(d: SeqDescriptor, left: tuple[int, int], partner: tuple[int, int]
         t = (b + y0) // y1
         x = t * x1 - x0
         if x > a:
-            t = (a + x0) // x1
-            x = t * x1 - x0
+            break
+        x0, x1 = x1, x
+        y0, y1 = y1, t * y1 - y0
+        append(nums[x])
+        append(dens[y1 + c * x])
+    while y1 != y_last or x1 != x_last:
+        t = (a + x0) // x1
+        x = t * x1 - x0
         x0, x1 = x1, x
         y0, y1 = y1, t * y1 - y0
         append(nums[x])

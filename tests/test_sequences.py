@@ -7,6 +7,8 @@ from itertools import chain, islice
 from math import gcd
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fareylattice import sequences
 from fareylattice.cli import GEN_BATCH
@@ -258,11 +260,37 @@ class TestOneDefinition:
         assert Frac(*_PAST_THE_BOX[family]) not in d
 
 
+# each family's shear c and box (A, B), from the module docstring's table,
+# written out here so that the tests below do not read _FAMILIES
+_SHEAR_AND_BOX = {
+    FAREY: lambda n, m: (0, n, n),
+    UPPER: lambda n, m: (0, m, n),
+    BOOLEAN: lambda n, m: (1, m, n - m),
+    LEFT_HALF: lambda n, m: (1, m, n - m),
+    RIGHT_HALF: lambda n, m: (1, m, n - m),
+}
+
+
+def _partner(x, y):
+    """A lattice point (px, py) with px*y - x*py = 1, for coprime x, y >= 0,
+    by the extended Euclidean algorithm."""
+    # invariants: r0 = s0*x + u0*y and r1 = s1*x + u1*y
+    r0, s0, u0, r1, s1, u1 = x, 1, 0, y, 0, 1
+    while r1:
+        q = r0 // r1
+        r0, s0, u0, r1, s1, u1 = r1, s1, u1, r0 - q * r1, s0 - q * s1, u0 - q * u1
+    assert r0 == 1  # s0*x + u0*y = 1
+    return u0, -s0
+
+
 class TestWalks:
-    """iter_pairs walks every row with one loop, in the row's (x, y).
-    Checked against the brute-force oracles at orders past TestOneDefinition's,
-    for every m: m = 1 and m = n - 1, the first step from 0/1, where x = 0,
-    and at n = 128 both halves."""
+    """iter_pairs walks every row with two loops, in the row's (x, y): the
+    bound on y gives each step until the walk reaches the box's corner ray,
+    and the bound on x alone from there.  Checked against the brute-force
+    oracles at orders past TestOneDefinition's, for every m: m = 1 and
+    m = n - 1, the first step from 0/1, where x = 0, and at n = 128 both
+    halves; the corner lemma against the oracles' terms; and _walk from the
+    corner term at boxes up to 10^9 against a walk written here."""
 
     @staticmethod
     def assert_walks(d, expected):
@@ -282,6 +310,57 @@ class TestWalks:
                             (shear, lambda n, m: reads.append((n, m)) or box(n, m), stretch))
         assert list(iter_pairs(SeqDescriptor(UPPER, 30, 12))) == brute_upper(30, 12)
         assert reads == [(30, 12)]
+
+    @pytest.mark.parametrize("n", range(1, 61))
+    def test_the_x_bound_binds_from_the_first_step_where_the_y_bound_overshoots(self, n):
+        # for consecutive terms u < v < w in (x, y), w = t*v - u for the lesser
+        # t of tA = (A + u_x) // v_x and tB = (B + u_y) // v_y.  Up to the first
+        # step where tB > tA, tB <= tA at every step; from it on, tA <= tB
+        for d in descriptors(n):
+            c, a, b = _SHEAR_AND_BOX[d.family](d.n, d.m)
+            terms = [(h, k - c * h) for h, k in oracle(d)]
+            steps = []
+            for (ux, uy), (vx, vy), (wx, wy) in zip(terms, terms[1:], terms[2:]):
+                t_a, t_b = (a + ux) // vx, (b + uy) // vy
+                t = min(t_a, t_b)
+                assert (wx, wy) == (t * vx - ux, t * vy - uy), (d, (vx, vy))
+                steps.append((t_a, t_b))
+            first = next((i for i, (t_a, t_b) in enumerate(steps) if t_b > t_a), len(steps))
+            assert all(t_b <= t_a for t_a, t_b in steps[:first]), d
+            assert all(t_a <= t_b for t_a, t_b in steps[first:]), d
+            if d.family in (FAREY, LEFT_HALF):
+                assert first == len(steps), d  # they end at their corner 1/1
+            if d.family == RIGHT_HALF:
+                assert all(t_a <= t_b for t_a, t_b in steps), d  # it starts at its corner 1/1
+
+    @given(st.sampled_from([UPPER, BOOLEAN]),
+           st.integers(3, 10**9).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n - 1))))
+    @example(UPPER, (10**9, 10**9 - 1))
+    @example(BOOLEAN, (10**9, 3 * 10**8))
+    @example(BOOLEAN, (10**9, 10**9 - 1))
+    @example(BOOLEAN, (10**9, 1))
+    @settings(max_examples=60, deadline=None)
+    def test_walk_from_the_corner_term_at_depth(self, family, order):
+        n, m = order
+        c, a, b = _SHEAR_AND_BOX[family](n, m)
+        if a == b:
+            return  # a symmetric box's corner is the stretch's last term 1/1
+        d = SeqDescriptor(family, n, m)
+        g = gcd(a, b)
+        corner = a // g, b // g
+        partner = _partner(*corner)
+        last = (1, 1) if family == UPPER else (1, 0)
+        walked = list(islice(_walk(d, corner, partner, last), 2000))
+        # the reference walk: the lesser of the two divisions at every step
+        (x0, y0), (x1, y1) = (-partner[0], -partner[1]), corner
+        want = [(x1, y1 + c * x1)]
+        while len(want) < 2000 and (x1, y1) != last:
+            t = min((a + x0) // x1, (b + y0) // y1)
+            x0, y0, x1, y1 = x1, y1, t * x1 - x0, t * y1 - y0
+            want.append((x1, y1 + c * x1))
+        assert walked == want
+        assert all(0 <= h <= a and 0 <= k - c * h <= b for h, k in walked)
+        assert all(h1 * k0 - h0 * k1 == 1 for (h0, k0), (h1, k1) in zip(walked, walked[1:]))
 
 
 def walked(d, pieces, count):
