@@ -27,7 +27,8 @@ _walk streams the terms as (h, k) = (x, y + c*x) int pairs; iter_pairs
 is _walk from the stretch's first term, whose neighbour is 1/0.  Each
 pair is reduced, as h1*k0 - h0*k1 = 1, so iter_terms wraps them as Frac
 without a gcd.  gen's pieces, up to cli._TABLE_MAX_ORDER, take _walk_text:
-the recurrence in one loop that appends each term's two table strings.
+_walk's two loops, appending each term's two table strings with no
+generator, tuple or islice per term.
 
 _pieces cuts a sequence into consecutive pieces (left term, its
 neighbour, right term) that the walk can take one at a time, in any

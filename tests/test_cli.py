@@ -802,12 +802,13 @@ class TestVerifyInTwoProcesses:
         assert open_fds() == fds
 
     @pytest.mark.parametrize("count, given", [
-        *(pytest.param(count, list, id=str(count)) for count in (0, 1, 2, 3, 40)),
-        *(pytest.param(count, iter, id=f"{count}-stream") for count in (0, 1, 2, 3, 40)),
+        *(pytest.param(count, given, id=str(count) + suffix)
+          for given, suffix in ((list, ""), (iter, "-stream"))
+          for count in (0, 1, 2, 3, cli._FORK_UNITS - 1, cli._FORK_UNITS, 40)),
     ])
     def test_each_unit_runs_once_in_one_process(self, forks, tmp_path, count, given):
-        # each unit appends its number and pid to one file; from two units on, a child
-        # takes the odd ones. The units come as a list or as a stream with no length
+        # each unit appends its number and pid to one file; from _FORK_UNITS units on, a
+        # child takes the odd ones. The units come as a list or as a stream with no length
         log = tmp_path / "units"
         log.touch()
 
@@ -820,13 +821,13 @@ class TestVerifyInTwoProcesses:
 
         emitted = []
         cli._run_units(given(unit(i) for i in range(count)), emitted.extend)
-        assert forks == ([] if count < 2 else [os.getpid()])
+        alone = count < cli._FORK_UNITS
+        assert forks == ([] if alone else [os.getpid()])
         assert [label for label, _, _ in emitted] == [f"unit {i}" for i in range(count)]
         lines = log.read_text().splitlines()
         ran = dict(map(int, line.split()) for line in lines)
         assert sorted(ran) == list(range(count)) and len(lines) == count
-        assert all(ran[i] == os.getpid() for i in range(0, count, 2))
-        assert os.getpid() not in {ran[i] for i in range(1, count, 2)}
+        assert all((ran[i] == os.getpid()) == (alone or i % 2 == 0) for i in range(count))
         assert no_child_left()
 
     def test_units_are_pulled_as_they_run(self, forks):
@@ -859,21 +860,46 @@ class TestVerifyInTwoProcesses:
         monkeypatch.setattr(os, "fork", failed_fork)
         assert run(capsys, *argv) == want
 
+    # 10 units: the guard alone keeps the child away, as the same call forks without it
+    GUARDED = ["verify", "--suite", "partition", "--max-n", "5"]
+
     def test_no_child_on_one_cpu(self, capsys, monkeypatch, forks):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        rc, _, _ = run(capsys, "verify", "--suite", "partition", "--max-n", "4")
-        assert rc == 0 and forks == []
+        alone = run(capsys, *self.GUARDED)
+        assert alone[0] == 0 and forks == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert run(capsys, *self.GUARDED) == alone
+        assert forks == [os.getpid()] and no_child_left()
 
     def test_no_child_beside_another_thread(self, capsys, forks):
         release = threading.Event()
         other = threading.Thread(target=release.wait)
         other.start()
         try:
-            rc, _, _ = run(capsys, "verify", "--suite", "partition", "--max-n", "4")
+            alone = run(capsys, *self.GUARDED)
         finally:
             release.set()
             other.join()
-        assert rc == 0 and forks == []
+        assert alone[0] == 0 and forks == []
+        assert run(capsys, *self.GUARDED) == alone
+        assert forks == [os.getpid()] and no_child_left()
+
+    # 6 and 7 units run in one process, 8 and 10 fork
+    @pytest.mark.parametrize("argv, forked", [
+        (["--suite", "partition", "--max-n", "4"], False),
+        (["--suite", "bijections", "--max-n", "2", "--max-m", "6"], False),
+        (["--suite", "identities", "--max-n", "3", "--max-m", "2"], True),
+        (["--suite", "partition", "--max-n", "5"], True),
+    ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
+    def test_forks_only_from_enough_units(self, capsys, monkeypatch, forks, argv, forked):
+        args = cli._parse(["verify", *argv])
+        units = sum(1 for _ in cli._SUITES[args.suite](args.max_n, args.max_m))
+        assert (units >= cli._FORK_UNITS) == forked
+        got = run(capsys, "verify", *argv)
+        assert got[0] == 0 and got[2] == ""
+        assert forks == ([os.getpid()] if forked else []) and no_child_left()
+        monkeypatch.delattr(os, "fork")
+        assert run(capsys, "verify", *argv) == got
 
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="lists processes from /proc")
     def test_head_closing_the_pipe_leaves_no_process(self, forks):
@@ -933,7 +959,7 @@ class TestGenInTwoProcesses:
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
     @pytest.mark.parametrize("fmt", ["plain", "json"])
     def test_same_output_in_every_case(self, capsys, monkeypatch, forks, argv, d, fmt, case):
-        assert len(list(_pieces(d, cli.GEN_BATCH))) >= cli._GEN_FORK_PIECES
+        assert len(list(_pieces(d, cli.GEN_BATCH))) >= cli._FORK_UNITS
         pairs = list(iter_pairs(d))
         if fmt == "plain":
             want = "".join(f"{h}/{k}\n" for h, k in pairs)
@@ -962,7 +988,7 @@ class TestGenInTwoProcesses:
         (["--family", "boolean", "--n", "500", "--m", "150"], SeqDescriptor(BOOLEAN, 500, 150), True),
     ], ids=lambda x: " ".join(x) if isinstance(x, list) else "")
     def test_forks_only_from_enough_pieces(self, capsys, forks, argv, d, forked):
-        assert (len(list(_pieces(d, cli.GEN_BATCH))) >= cli._GEN_FORK_PIECES) == forked
+        assert (len(list(_pieces(d, cli.GEN_BATCH))) >= cli._FORK_UNITS) == forked
         rc, out, err = run(capsys, "gen", *argv)
         assert (rc, err) == (0, "")
         assert out == "".join(f"{h}/{k}\n" for h, k in iter_pairs(d))
