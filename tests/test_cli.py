@@ -54,6 +54,77 @@ def sweep_in_process(units):
     return (check for unit in units for check in unit())
 
 
+def audit_divisor_sum(monkeypatch, mutate=lambda monkeypatch: None):
+    """Run the divisor-sum checks of an identities sweep with both row cores spied on.
+
+    A check that skipped or merged intervals would still print PASS, so record what
+    each side computes: for every h, every 0 <= lo < hi <= 2 * max_m once, on each side,
+    from h's own cached tables.  mutate(monkeypatch) may wrap the spied cores.
+    """
+    sums, counts = [], []
+    divisor_row, coprime_row = ident._divisor_row, ident._coprime_row
+    monkeypatch.setattr(ident, "_divisor_row", lambda divisors, columns, lo:
+                        sums.append((divisors, columns, lo)) or divisor_row(divisors, columns, lo))
+    monkeypatch.setattr(ident, "_coprime_row", lambda prefix, quot, rem, lo: counts.append(
+        (prefix, quot, rem, lo)) or coprime_row(prefix, quot, rem, lo))
+    mutate(monkeypatch)
+    # every 0 <= lo < hi <= 2 * max_m: C(15, 2) of them
+    want = [(lo, hi) for lo in range(14) for hi in range(lo + 1, 15)]
+    assert len(want) == 105
+    checked = []
+    for label, ok, _ in sweep_in_process(cli._sweep_identities(2, 7)):
+        if label.startswith("totient divisor-sum h="):
+            h = int(label.rpartition("=")[2])
+            divisors, prefix = ident._squarefree_divisors(h), ident._coprime_prefix(h)
+            assert ok, label
+            summed, counted = [], []
+            for d, columns, lo in sums:
+                xs = columns[0]  # the column of d = 1 lists x itself
+                assert d is divisors and columns == [[x // e for x in xs] for e, _ in d], label
+                summed += [(xs[lo], hi) for hi in xs[lo + 1:]]
+            for p, quot, rem, lo in counts:
+                xs = [q * h + r for q, r in zip(quot, rem, strict=True)]
+                assert p is prefix and all(0 <= r < h for r in rem), label
+                counted += [(xs[lo], hi) for hi in xs[lo + 1:]]
+            assert sorted(summed) == want and sorted(counted) == want, label
+            checked.append(h)
+        sums.clear()
+        counts.clear()
+    assert checked == list(range(1, 8))
+
+
+def _wrap(name, mutant):
+    """A mutation of identities' core `name`, given the core it wraps."""
+    return lambda monkeypatch: monkeypatch.setattr(ident, name, mutant(getattr(ident, name)))
+
+
+def _both(*mutations):
+    def mutate(monkeypatch):
+        for mutation in mutations:
+            mutation(monkeypatch)
+    return mutate
+
+
+# a row of two his or more drops its last; phi_interval's rows of one hi are kept
+_DROP_DIVISOR_HI = _wrap("_divisor_row", lambda core: lambda divisors, columns, lo: core(
+    divisors, [col[:-1] for col in columns] if len(columns[0]) > lo + 2 else columns, lo))
+_DROP_COPRIME_HI = _wrap("_coprime_row", lambda core: lambda prefix, quot, rem, lo: core(
+    prefix, *((quot[:-1], rem[:-1]) if len(quot) > lo + 2 else (quot, rem)), lo))
+# what a check that skipped an interval, a lo or an h would compute
+_DIVISOR_SUM_MUTANTS = {
+    "hi from the divisor row": _DROP_DIVISOR_HI,
+    "hi from the gcd row": _DROP_COPRIME_HI,
+    "hi from both rows": _both(_DROP_DIVISOR_HI, _DROP_COPRIME_HI),
+    "lo = 0 on both sides": _both(
+        _wrap("_divisor_row", lambda core: lambda divisors, columns, lo:
+              [] if columns[0][lo] == 0 else core(divisors, columns, lo)),
+        _wrap("_coprime_row", lambda core: lambda prefix, quot, rem, lo:
+              [] if quot[lo] == rem[lo] == 0 else core(prefix, quot, rem, lo))),
+    "h = 3": _wrap("_divisor_sum_check", lambda check: lambda h, span:
+                   h == 3 or check(h, span)),
+}
+
+
 class TestGen:
     def test_farey_6_plain(self, capsys, golden_farey_6):
         rc, out, _ = run(capsys, "gen", "--family", "farey", "--n", "6")
@@ -473,31 +544,13 @@ class TestVerify:
         assert checked == list(range(2, 8))
 
     def test_divisor_sum_checks_every_interval(self, monkeypatch):
-        # a divisor-sum check that skipped or merged intervals would still print PASS, so record
-        # what each side computes: one core call per interval, from h's own cached tables
-        sums, counts = [], []
-        divisor_sum, coprime_count = ident._divisor_sum, ident._coprime_count
-        monkeypatch.setattr(ident, "_divisor_sum", lambda divisors, lo, hi:
-                            sums.append((divisors, lo, hi)) or divisor_sum(divisors, lo, hi))
-        monkeypatch.setattr(ident, "_coprime_count", lambda h, prefix, i, l:
-                            counts.append((h, prefix, i, l)) or coprime_count(h, prefix, i, l))
-        # every 0 <= lo < hi <= 2 * max_m: C(15, 2) of them
-        want = [(lo, hi) for lo in range(14) for hi in range(lo + 1, 15)]
-        assert len(want) == 105
-        checked = []
-        for label, ok, _ in sweep_in_process(cli._sweep_identities(2, 7)):
-            if label.startswith("totient divisor-sum h="):
-                h = int(label.rpartition("=")[2])
-                divisors, prefix = ident._squarefree_divisors(h), ident._coprime_prefix(h)
-                assert ok, label
-                assert all(d is divisors for d, _, _ in sums), label
-                assert all(g == h and p is prefix for g, p, _, _ in counts), label
-                assert sorted((lo, hi) for _, lo, hi in sums) == want, label
-                assert sorted((i - 1, l) for _, _, i, l in counts) == want, label
-                checked.append(h)
-            sums.clear()
-            counts.clear()
-        assert checked == list(range(1, 8))
+        audit_divisor_sum(monkeypatch)
+
+    @pytest.mark.parametrize("mutant", sorted(_DIVISOR_SUM_MUTANTS))
+    def test_divisor_sum_audit_catches(self, monkeypatch, mutant):
+        # each mutant computes fewer intervals than the check must, on one side or on both
+        with pytest.raises(AssertionError):
+            audit_divisor_sum(monkeypatch, _DIVISOR_SUM_MUTANTS[mutant])
 
     def test_divisor_sum_past_the_prefix_bound_counts_by_gcd(self, monkeypatch):
         # above _PREFIX_MAX_H the gcd side is phi_interval's own count, and no prefix table is built
@@ -509,16 +562,13 @@ class TestVerify:
         assert ident._coprime_prefix.cache_info().currsize == 3
 
     def test_off_by_one_divisor_sum_fails_sweep(self, capsys, monkeypatch):
-        # a break at d >= upper drops the divisor d = upper, so every h fails at (lo, hi) = (0, 1)
-        def early_break(divisors, lower, upper):
-            total = 0
-            for d, mu in divisors:
-                if d >= upper:
-                    break
-                total += mu * (upper // d - lower // d)
-            return total
+        # each hi's sum stops before the divisor d = hi, so every h fails at (lo, hi) = (0, 1)
+        def early_break(divisors, columns, lo):
+            xs = columns[0]  # the column of d = 1 lists x itself
+            return [sum(mu * (col[i] - col[lo]) for (d, mu), col in zip(divisors, columns)
+                        if d < xs[i]) for i in range(lo + 1, len(xs))]
 
-        monkeypatch.setattr(ident, "_divisor_sum", early_break)
+        monkeypatch.setattr(ident, "_divisor_row", early_break)
         rc, out, _ = run(capsys, "verify", "--suite", "identities")
         assert rc == 1
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
@@ -699,9 +749,9 @@ class TestVerifyInTwoProcesses:
 
     def test_fail_computed_by_the_child(self, capsys, monkeypatch, forks):
         # the divisor sum is off by one for odd h only, whose units are all odd-numbered here
-        divisor_sum = ident._divisor_sum
-        monkeypatch.setattr(ident, "_divisor_sum", lambda divisors, lo, hi:
-                            divisor_sum(divisors, lo, hi) + (divisors[-1][0] % 2))
+        divisor_row = ident._divisor_row
+        monkeypatch.setattr(ident, "_divisor_row", lambda divisors, columns, lo:
+                            [t + divisors[-1][0] % 2 for t in divisor_row(divisors, columns, lo)])
         units = [[(label, ok) for label, ok, _ in unit()]
                  for unit in cli._sweep_identities(4, 5)]
         failing = [i for i, checks in enumerate(units) for _, ok in checks if not ok]
@@ -773,7 +823,7 @@ class TestVerifyInTwoProcesses:
     @pytest.mark.parametrize("case", ["one unit", "pass", "FAIL", "exception", "child's death",
                                       "failed fork"])
     def test_no_path_leaves_the_pipe_open(self, capsys, monkeypatch, forks, case):
-        parent, divisor_sum = os.getpid(), ident._divisor_sum
+        parent, divisor_row = os.getpid(), ident._divisor_row
         farey_identities = ident.farey_identities
 
         def broken(m):
@@ -785,8 +835,9 @@ class TestVerifyInTwoProcesses:
 
         monkeypatch.setattr(ident, "farey_identities", broken)
         if case == "FAIL":
-            monkeypatch.setattr(ident, "_divisor_sum", lambda divisors, lo, hi:
-                                divisor_sum(divisors, lo, hi) + (divisors[-1][0] % 2))
+            monkeypatch.setattr(ident, "_divisor_row", lambda divisors, columns, lo:
+                                [t + divisors[-1][0] % 2
+                                 for t in divisor_row(divisors, columns, lo)])
         if case == "failed fork":
             monkeypatch.setattr(os, "fork", failed_fork)
         # the one-unit call gives the child nothing to compute, so none is forked

@@ -1,6 +1,6 @@
 import re
 from itertools import accumulate
-from math import gcd
+from math import comb, gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,12 +112,16 @@ class TestPhiInterval:
     @example(_PREFIX_MAX_H, _PREFIX_MAX_H - 1, 2 * _PREFIX_MAX_H + 1)
     @settings(max_examples=300)
     def test_cores_match_oracles(self, h, lower, span):
-        # the private cores, read from h's cached tables, against the brute oracles
+        # the private row cores, read from h's cached tables and its columns at lo and at a row
+        # of his ending at upper, against the brute oracles
         upper = lower + span
+        xs = [lower, *sorted({lower + 1, lower + (span + 1) // 2, upper})]
         divisors, prefix = identities._squarefree_divisors(h), identities._coprime_prefix(h)
-        assert identities._divisor_sum(divisors, lower, upper) == brute_divisor_sum(h, lower, upper)
-        assert identities._coprime_count(h, prefix, lower + 1, upper) == \
-            brute_coprime_count(h, lower + 1, upper)
+        columns = [[x // d for x in xs] for d, _ in divisors]
+        assert identities._divisor_row(divisors, columns, 0) == \
+            [brute_divisor_sum(h, lower, hi) for hi in xs[1:]]
+        assert identities._coprime_row(prefix, [x // h for x in xs], [x % h for x in xs], 0) == \
+            [brute_coprime_count(h, lower + 1, hi) for hi in xs[1:]]
 
     def test_divisor_cache_is_bounded(self):
         assert identities._squarefree_divisors.cache_info().maxsize is not None
@@ -331,7 +335,15 @@ class TestSymmetricIdentities:
     def test_pair_sum_rejects_a_nonpositive_form(self):
         # 2h - k is positive at 2/3 and 0 at 1/2
         with pytest.raises(ValueError, match="form value 1 or 0 is not positive at 1/2"):
-            identities._pair_sum([(2, 3), (1, 2)], 4, 4, [(identities._H, identities._2H_K)])
+            identities._pair_sum([(2, 3), (1, 2)], identities._pair_table(4, 4),
+                                 [(identities._H, identities._2H_K)])
+
+    def test_pair_sum_rejects_at_the_first_pair(self):
+        # the first form fails only at 1/2, the second already at 2/3: every form is
+        # checked on one pair before the next pair is read
+        forms = [(identities._H, identities._2H_K), (identities._K_2H, identities._H)]
+        with pytest.raises(ValueError, match="form value -1 or 2 is not positive at 2/3"):
+            identities._pair_sum([(2, 3), (1, 2)], identities._pair_table(4, 4), forms)
 
 
 _FORMS = (identities._H, identities._K, identities._K_H, identities._K_2H, identities._2H_K)
@@ -368,7 +380,19 @@ def _pair_sum_cases(draw):
 
 
 class TestPairSum:
-    """_pair_sum against math.comb summed over every s, with no row slicing."""
+    """_pair_table and _pair_sum against math.comb summed over every s."""
+
+    def test_table_matches_comb(self):
+        # every (m1, m2) up to 24, unequal ones included; row and column 0 hold zeros
+        for m1 in range(1, 25):
+            for m2 in range(1, 25):
+                table = identities._pair_table(m1, m2)
+                assert len(table) == m1 + 1 and {len(row) for row in table} == {m2 + 1}
+                assert table[0] == [0] * (m2 + 1) and all(row[0] == 0 for row in table)
+                for a in range(1, m1 + 1):
+                    assert table[a][1:] == [sum(comb(m1, s * a) * comb(m2, s * b)
+                                                for s in range(1, max(m1, m2) + 1))
+                                            for b in range(1, m2 + 1)], (m1, m2, a)
 
     @given(_pair_sum_cases())
     @settings(max_examples=400)
@@ -377,7 +401,8 @@ class TestPairSum:
     @example(([(3, 4)], 6, 9, [(identities._H, identities._K_H)]))
     def test_matches_brute_sum(self, case):
         pairs, m1, m2, forms = case
-        assert identities._pair_sum(pairs, m1, m2, forms) == brute_pair_sum(pairs, m1, m2, forms)
+        table = identities._pair_table(m1, m2)
+        assert identities._pair_sum(pairs, table, forms) == brute_pair_sum(pairs, m1, m2, forms)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 8, 9])
     def test_every_identity_pair_of_forms(self, m):
@@ -385,7 +410,7 @@ class TestPairSum:
         for forms in _STEERABLE:
             pairs = [_solve(forms, a, b) for a in range(1, m + 3) for b in range(1, m + 3)]
             for m2 in (m, m + 1):
-                assert (identities._pair_sum(pairs, m, m2, [forms])
+                assert (identities._pair_sum(pairs, identities._pair_table(m, m2), [forms])
                         == brute_pair_sum(pairs, m, m2, [forms]))
 
 
