@@ -1,6 +1,5 @@
 import contextlib
 import gc
-import hashlib
 import io
 import itertools
 import json
@@ -574,14 +573,6 @@ class TestVerify:
         failed = [line for line in out.splitlines() if line.startswith("FAIL")]
         assert failed == [f"FAIL totient divisor-sum h={h}" for h in range(1, 13)] + \
             [f"FAIL 12/{len(out.splitlines()) - 1}"]
-
-    def test_all_suites_listing_is_pinned(self, capsys):
-        # every check label, in order, of the default-scale full sweep
-        rc, out, err = run(capsys, "verify", "--suite", "all")
-        assert rc == 0 and err == ""
-        assert out.splitlines()[-1] == "PASS 796/796"
-        assert hashlib.sha256(out.encode()).hexdigest() == \
-            "e35f3d30e91866604ed97fd1b15aa7b13d2b8fdd2904bec542b8fe906482753a"
 
     @pytest.mark.parametrize("argv", [
         ["--suite", "all", "--max-n", "-5", "--max-m", "-3"],
@@ -1256,24 +1247,6 @@ class TestBrokenPipe:
         assert (rc, writes) == ("0", "2")
         assert int(peak) < 4 * 2**20
         assert float(seconds) < 10
-
-    def test_head_closing_the_pipe(self):
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "fareylattice.cli", "gen", "--family", "farey",
-             "--n", "3000"],
-            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-        assert proc.stdout.readline() == b"0/1\n"
-        proc.stdout.close()
-        try:
-            rc = proc.wait(timeout=60)
-        finally:
-            proc.kill()
-        assert rc == 0
-        assert proc.stderr.read() == b""
-        proc.stderr.close()
 
 
 class TestImportGraph:

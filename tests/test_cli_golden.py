@@ -1,4 +1,4 @@
-"""The CLI replayed in process against recorded and documented output.
+"""The CLI replayed against recorded and documented output.
 
 cli_transcript.json holds argv lists with the stdout, stderr and exit
 status that cli.main gave for them: neighbor steps in both families and
@@ -6,15 +6,40 @@ directions (interior terms, 1/2, endpoints, non-members, m = 1, 2 and 6,
 m <= 0), index, count and map on members, absent fractions and bounds,
 small gen runs of every family and format, and a small verify sweep.
 Usage errors are left out: argparse owns their wording, and
-test_cli.TestUsage covers them.  Any change to a byte of that output
-fails here, and so does a case that builds a sequence.
+test_cli.TestUsage covers them.  These run in process, and any change to
+a byte of that output fails here, and so does a case that builds a
+sequence.
 
-The README examples run the same way: each `$ fareylattice ...` line,
+cli_pins.json holds the output pins at depth and scale: gen at order
+10^9 through a pipe closed after 64 bytes, neighbors, indices and counts
+at m = 10^6 to 10^9, and the sha256 of whole gen and verify outputs.
+Each pin has its argv, exit status and exact stderr, and exactly one
+stdout expectation: the exact text (stdout), a digest (stdout_sha256,
+with an optional last_line), or the first bytes (head), after which the
+pipe is closed, as `| head -c` does.  cap_mib caps the child's address
+space, as `ulimit -v` would; timeout_s bounds its wall time; why says
+what the pin guards.  Each pin runs as a child `python -m
+fareylattice.cli`, on every CPU this process may use, so a real fork,
+pipe and reap happen.  Run under `taskset -c 0`, the same pins take the
+one-CPU path, where nothing forks.
+
+The README examples run in process too: each `$ fareylattice ...` line,
 with an optional `| head -N`, must print the lines shown under it.
 """
 
+import contextlib
+import functools
+import hashlib
 import json
+import os
+import re
+import resource
+import select
 import shlex
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +48,13 @@ from fareylattice.cli import main
 
 HERE = Path(__file__).parent
 TRANSCRIPT = json.loads((HERE / "cli_transcript.json").read_text())
+PINS = json.loads((HERE / "cli_pins.json").read_text())
+PIN_IDS = [" ".join(pin["argv"]) for pin in PINS]
+PIN_BY_ID = dict(zip(PIN_IDS, PINS))
+# every key a pin may hold, with its type; a pin has exactly one of STDOUT_KINDS
+PIN_TYPES = {"argv": list, "status": int, "stdout": str, "stdout_sha256": str, "last_line": str,
+             "head": str, "stderr": str, "cap_mib": int, "timeout_s": int, "why": str}
+STDOUT_KINDS = ("stdout", "stdout_sha256", "head")
 
 
 @pytest.mark.parametrize("case", TRANSCRIPT, ids=[" ".join(c["argv"]) for c in TRANSCRIPT])
@@ -67,3 +99,150 @@ def test_readme_example(capsys, command, shown):
     captured = capsys.readouterr()
     assert captured.err == ""
     assert captured.out.splitlines()[:head] == shown
+
+
+def schema_faults(pin: dict) -> list[str]:
+    """What makes pin malformed; empty when it is well formed."""
+    faults = [f"no {key}" for key in ("argv", "status", "stderr") if key not in pin]
+    faults += [f"unknown key {key!r}" for key in pin.keys() - PIN_TYPES.keys()]
+    faults += [f"{key} is not {PIN_TYPES[key].__name__}" for key in pin.keys() & PIN_TYPES.keys()
+               if type(pin[key]) is not PIN_TYPES[key]]
+    kinds = [kind for kind in STDOUT_KINDS if kind in pin]
+    if len(kinds) != 1:
+        faults.append(f"stdout expectations {kinds}, not exactly one")
+    if "last_line" in pin and "stdout_sha256" not in pin:
+        faults.append("last_line without stdout_sha256")
+    if not re.fullmatch("[0-9a-f]{64}", pin.get("stdout_sha256", "0" * 64)):
+        faults.append("stdout_sha256 is not 64 lowercase hex digits")
+    if pin.get("head", "-") == "":
+        faults.append("empty head")
+    return faults
+
+
+def mismatches(pin: dict, status: int, stdout: str, stderr: str) -> list[str]:
+    """Each expectation of pin that a run giving (status, stdout, stderr) misses.
+
+    For a head pin, stdout is what was read before the pipe was closed.
+    """
+    observed = {"status": status, "stderr": stderr, "stdout": stdout, "head": stdout,
+                "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
+                "last_line": "".join(stdout.splitlines()[-1:])}
+    return [f"{key}: expected {pin[key]!r}, got {value!r}"
+            for key, value in observed.items() if key in pin and value != pin[key]]
+
+
+def _read_head(stream, size: int, deadline: float | None) -> bytes:
+    """Up to size bytes of stream, fewer at end of file or once deadline has passed."""
+    data = b""
+    while len(data) < size:
+        if deadline is not None and not select.select(
+                [stream], [], [], max(0.0, deadline - time.monotonic()))[0]:
+            break
+        chunk = os.read(stream.fileno(), size - len(data))
+        if not chunk:
+            break
+        data += chunk
+    return data
+
+
+def replay(pin: dict) -> tuple[int, str, str]:
+    """Run pin as a child `python -m fareylattice.cli`; its (status, stdout, stderr).
+
+    The child and every process it forks are killed, and the child reaped,
+    on every path out, a timeout included.
+    """
+    cap = pin.get("cap_mib")
+
+    def limit_address_space():
+        if cap is not None:
+            resource.setrlimit(resource.RLIMIT_AS, (cap * 2**20, cap * 2**20))
+
+    timeout = pin.get("timeout_s")
+    deadline = None if timeout is None else time.monotonic() + timeout
+    src = str(HERE.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    with subprocess.Popen([sys.executable, "-m", "fareylattice.cli", *pin["argv"]],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                          preexec_fn=limit_address_space, start_new_session=True) as proc:
+        try:
+            head = b""
+            if "head" in pin:
+                head = _read_head(proc.stdout, len(pin["head"].encode()), deadline)
+                proc.stdout.close()
+            out, err = proc.communicate(
+                timeout=None if deadline is None else max(0.0, deadline - time.monotonic()))
+        finally:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+    return proc.returncode, (head + out).decode(), err.decode()
+
+
+def test_pins_are_distinct():
+    assert len(PIN_BY_ID) == len(PINS)
+
+
+@pytest.mark.parametrize("pin", PINS, ids=PIN_IDS)
+def test_pin(pin):
+    assert schema_faults(pin) == []
+    faults = mismatches(pin, *replay(pin))
+    assert not faults, "\n".join(faults)
+
+
+def test_timed_out_pin_is_killed_and_reaped(monkeypatch):
+    children = []
+    popen = subprocess.Popen
+    monkeypatch.setattr(subprocess, "Popen",
+                        lambda *a, **kw: children.append(popen(*a, **kw)) or children[-1])
+    pin = {"argv": ["gen", "--family", "farey", "--n", "1000000000"], "status": 0, "stderr": "",
+           "stdout_sha256": "0" * 64, "timeout_s": 1}
+    with pytest.raises(subprocess.TimeoutExpired):
+        replay(pin)
+    assert [child.returncode for child in children] == [-signal.SIGKILL]
+
+
+@functools.cache
+def _observed(pin_id: str) -> tuple[int, str, str]:
+    return replay(PIN_BY_ID[pin_id])
+
+
+@pytest.mark.parametrize("pin_id, key", [
+    ("gen --family farey --n 3000 --format plain", "head"),
+    ("neighbor --family farey --m 1000000000 --frac 1/2 --dir next", "stdout"),
+    ("neighbor --family farey --m 1000000000 --frac 1/1000000001 --dir next", "status"),
+    ("neighbor --family farey --m 1000000000 --frac 1/1000000001 --dir next", "stderr"),
+    ("gen --family boolean --n 300 --m 1", "stdout_sha256"),
+    ("verify --suite partition --max-n 4", "stdout_sha256"),
+    ("verify --suite partition --max-n 4", "last_line"),
+])
+def test_one_changed_character_fails(pin_id, key):
+    pin = PIN_BY_ID[pin_id]
+    run = _observed(pin_id)
+    assert mismatches(pin, *run) == []
+    text = str(pin[key])
+    for i, char in enumerate(text):
+        changed = type(pin[key])(text[:i] + ("2" if char == "1" else "1") + text[i + 1:])
+        assert mismatches(dict(pin, **{key: changed}), *run) != [], (key, changed)
+
+
+_PIN = PIN_BY_ID["verify --suite partition --max-n 4"]
+_NO_STDOUT = {key: value for key, value in _PIN.items() if key not in (*STDOUT_KINDS, "last_line")}
+
+
+@pytest.mark.parametrize("pin", [
+    dict(_PIN, stdot="PASS 6/6\n"),
+    _NO_STDOUT,
+    dict(_PIN, stdout="PASS 6/6\n"),
+    dict(_PIN, head="PASS"),
+    dict(_NO_STDOUT, stdout="PASS 6/6\n", head="PASS"),
+    dict(_NO_STDOUT, stdout="PASS 6/6\n", last_line="PASS 6/6"),
+    dict(_PIN, stdout_sha256=_PIN["stdout_sha256"].upper()),
+    dict(_NO_STDOUT, head=""),
+    dict(_PIN, status="0"),
+    dict(_PIN, argv=" ".join(_PIN["argv"])),
+    {key: value for key, value in _PIN.items() if key != "stderr"},
+], ids=["unknown key", "no stdout expectation", "stdout and digest", "head and digest",
+        "stdout and head", "last_line without digest", "uppercase digest", "empty head",
+        "status as text", "argv as text", "no stderr"])
+def test_malformed_pin_fails_schema(pin):
+    assert schema_faults(pin) != []
