@@ -14,13 +14,13 @@ cli_pins.json holds the output pins at depth and scale: gen at order
 10^9 through a pipe closed after 64 bytes, neighbors, indices and counts
 at m = 10^6 to 10^9, and the sha256 of whole gen and verify outputs.
 Each pin has its argv, exit status and exact stderr, and exactly one
-stdout expectation: the exact text (stdout), a digest (stdout_sha256,
-with an optional last_line), or the first bytes (head), after which the
-pipe is closed, as `| head -c` does.  cap_mib caps the child's address
-space, as `ulimit -v` would; timeout_s bounds its wall time; why says
-what the pin guards.  Each pin runs as a child `python -m
-fareylattice.cli`, on every CPU this process may use, so a real fork,
-pipe and reap happen.  Run under `taskset -c 0`, the same pins take the
+stdout expectation: the exact text (stdout), a digest (stdout_sha256),
+or the first bytes (head), after which the pipe is closed, as `| head
+-c` does.  cap_mib caps the child's address space, as `ulimit -v`
+would; why says what the pin guards.  Each pin runs as a child `python
+-m fareylattice.cli`, on every CPU this process may use, so a real
+fork, pipe and reap happen; a child still running after PIN_TIMEOUT_S
+seconds fails its pin.  Run under `taskset -c 0`, the same pins take the
 one-CPU path, where nothing forks.
 
 The README examples run in process too: each `$ fareylattice ...` line,
@@ -52,9 +52,11 @@ PINS = json.loads((HERE / "cli_pins.json").read_text())
 PIN_IDS = [" ".join(pin["argv"]) for pin in PINS]
 PIN_BY_ID = dict(zip(PIN_IDS, PINS))
 # every key a pin may hold, with its type; a pin has exactly one of STDOUT_KINDS
-PIN_TYPES = {"argv": list, "status": int, "stdout": str, "stdout_sha256": str, "last_line": str,
-             "head": str, "stderr": str, "cap_mib": int, "timeout_s": int, "why": str}
+PIN_TYPES = {"argv": list, "status": int, "stdout": str, "stdout_sha256": str, "head": str,
+             "stderr": str, "cap_mib": int, "why": str}
 STDOUT_KINDS = ("stdout", "stdout_sha256", "head")
+# wall-time bound on every pin: the slowest takes about 5 s on 2 vCPUs
+PIN_TIMEOUT_S = 60
 
 
 @pytest.mark.parametrize("case", TRANSCRIPT, ids=[" ".join(c["argv"]) for c in TRANSCRIPT])
@@ -110,8 +112,6 @@ def schema_faults(pin: dict) -> list[str]:
     kinds = [kind for kind in STDOUT_KINDS if kind in pin]
     if len(kinds) != 1:
         faults.append(f"stdout expectations {kinds}, not exactly one")
-    if "last_line" in pin and "stdout_sha256" not in pin:
-        faults.append("last_line without stdout_sha256")
     if not re.fullmatch("[0-9a-f]{64}", pin.get("stdout_sha256", "0" * 64)):
         faults.append("stdout_sha256 is not 64 lowercase hex digits")
     if pin.get("head", "-") == "":
@@ -125,18 +125,16 @@ def mismatches(pin: dict, status: int, stdout: str, stderr: str) -> list[str]:
     For a head pin, stdout is what was read before the pipe was closed.
     """
     observed = {"status": status, "stderr": stderr, "stdout": stdout, "head": stdout,
-                "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest(),
-                "last_line": "".join(stdout.splitlines()[-1:])}
+                "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
     return [f"{key}: expected {pin[key]!r}, got {value!r}"
             for key, value in observed.items() if key in pin and value != pin[key]]
 
 
-def _read_head(stream, size: int, deadline: float | None) -> bytes:
+def _read_head(stream, size: int, deadline: float) -> bytes:
     """Up to size bytes of stream, fewer at end of file or once deadline has passed."""
     data = b""
     while len(data) < size:
-        if deadline is not None and not select.select(
-                [stream], [], [], max(0.0, deadline - time.monotonic()))[0]:
+        if not select.select([stream], [], [], max(0.0, deadline - time.monotonic()))[0]:
             break
         chunk = os.read(stream.fileno(), size - len(data))
         if not chunk:
@@ -145,9 +143,10 @@ def _read_head(stream, size: int, deadline: float | None) -> bytes:
     return data
 
 
-def replay(pin: dict) -> tuple[int, str, str]:
+def replay(pin: dict, timeout: float = PIN_TIMEOUT_S) -> tuple[int, str, str]:
     """Run pin as a child `python -m fareylattice.cli`; its (status, stdout, stderr).
 
+    A child still running after timeout seconds raises TimeoutExpired.
     The child and every process it forks are killed, and the child reaped,
     on every path out, a timeout included.
     """
@@ -157,8 +156,7 @@ def replay(pin: dict) -> tuple[int, str, str]:
         if cap is not None:
             resource.setrlimit(resource.RLIMIT_AS, (cap * 2**20, cap * 2**20))
 
-    timeout = pin.get("timeout_s")
-    deadline = None if timeout is None else time.monotonic() + timeout
+    deadline = time.monotonic() + timeout
     src = str(HERE.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -170,8 +168,7 @@ def replay(pin: dict) -> tuple[int, str, str]:
             if "head" in pin:
                 head = _read_head(proc.stdout, len(pin["head"].encode()), deadline)
                 proc.stdout.close()
-            out, err = proc.communicate(
-                timeout=None if deadline is None else max(0.0, deadline - time.monotonic()))
+            out, err = proc.communicate(timeout=max(0.0, deadline - time.monotonic()))
         finally:
             with contextlib.suppress(ProcessLookupError):
                 os.killpg(proc.pid, signal.SIGKILL)
@@ -195,9 +192,9 @@ def test_timed_out_pin_is_killed_and_reaped(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen",
                         lambda *a, **kw: children.append(popen(*a, **kw)) or children[-1])
     pin = {"argv": ["gen", "--family", "farey", "--n", "1000000000"], "status": 0, "stderr": "",
-           "stdout_sha256": "0" * 64, "timeout_s": 1}
+           "stdout_sha256": "0" * 64}
     with pytest.raises(subprocess.TimeoutExpired):
-        replay(pin)
+        replay(pin, timeout=1)
     assert [child.returncode for child in children] == [-signal.SIGKILL]
 
 
@@ -213,7 +210,6 @@ def _observed(pin_id: str) -> tuple[int, str, str]:
     ("neighbor --family farey --m 1000000000 --frac 1/1000000001 --dir next", "stderr"),
     ("gen --family boolean --n 300 --m 1", "stdout_sha256"),
     ("verify --suite partition --max-n 4", "stdout_sha256"),
-    ("verify --suite partition --max-n 4", "last_line"),
 ])
 def test_one_changed_character_fails(pin_id, key):
     pin = PIN_BY_ID[pin_id]
@@ -226,7 +222,7 @@ def test_one_changed_character_fails(pin_id, key):
 
 
 _PIN = PIN_BY_ID["verify --suite partition --max-n 4"]
-_NO_STDOUT = {key: value for key, value in _PIN.items() if key not in (*STDOUT_KINDS, "last_line")}
+_NO_STDOUT = {key: value for key, value in _PIN.items() if key not in STDOUT_KINDS}
 
 
 @pytest.mark.parametrize("pin", [
@@ -235,14 +231,13 @@ _NO_STDOUT = {key: value for key, value in _PIN.items() if key not in (*STDOUT_K
     dict(_PIN, stdout="PASS 6/6\n"),
     dict(_PIN, head="PASS"),
     dict(_NO_STDOUT, stdout="PASS 6/6\n", head="PASS"),
-    dict(_NO_STDOUT, stdout="PASS 6/6\n", last_line="PASS 6/6"),
     dict(_PIN, stdout_sha256=_PIN["stdout_sha256"].upper()),
     dict(_NO_STDOUT, head=""),
     dict(_PIN, status="0"),
     dict(_PIN, argv=" ".join(_PIN["argv"])),
     {key: value for key, value in _PIN.items() if key != "stderr"},
 ], ids=["unknown key", "no stdout expectation", "stdout and digest", "head and digest",
-        "stdout and head", "last_line without digest", "uppercase digest", "empty head",
-        "status as text", "argv as text", "no stderr"])
+        "stdout and head", "uppercase digest", "empty head", "status as text", "argv as text",
+        "no stderr"])
 def test_malformed_pin_fails_schema(pin):
     assert schema_faults(pin) != []
