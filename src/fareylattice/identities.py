@@ -21,14 +21,15 @@ units at --max-m 40 took 36.4 ms of CPU against 43.1 ms when each term
 sliced two binomial rows; at m = 200 the two functions' peak traced memory
 rose from 3.6 to 6.5 MiB.
 
-The interval totients phi_interval (by gcd) and phi_interval_mobius (by the
-divisor sum) are their argument checks over private row cores: for one lo,
-_coprime_row and _divisor_row count [lo + 1, hi] for every hi of a row,
-from h's cached table and its columns x // h and x % h, or x // d.  The
-public functions pass a row of one hi.  verify's _divisor_sum_check builds
-h's columns once and compares the two rows for each lo, so each interval is
-still counted both ways.  Its 40 units at --max-m 40 took 44.5 ms of CPU,
-against 60.7 ms with two core calls per interval (2 vCPUs, Python 3.11.7).
+The interval totients count [lo + 1, hi] two ways.  phi_interval counts by
+gcd: the whole periods of h at once, the tail one by one.  phi_interval_mobius
+is its argument checks over the private row core _divisor_row, which for one
+lo takes the divisor sum of every hi of a row from the columns x // d of h's
+cached squarefree divisors; the public function passes a row of one hi.
+verify's _divisor_sum_check lists h's columns and its coprime flags
+gcd(h, x) == 1 once, and for each lo compares _divisor_row with _coprime_row,
+the flags' running count from lo + 1, so each interval is still counted both
+ways.  Its 40 units at --max-m 40 took 31.0 ms of CPU (2 vCPUs, Python 3.11.7).
 
 Every value here is an exact Python int; the sums grow like 2^(2m), so no
 floating point is allowed anywhere in this module.
@@ -39,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import accumulate, repeat
 from math import comb, gcd, isqrt
-from operator import add, sub
+from operator import add, countOf, sub
 from typing import NamedTuple
 
 from .sequences import _FAMILIES, BOOLEAN, FAREY, SeqDescriptor, _point_sequence, iter_pairs
@@ -95,42 +96,26 @@ def _mobius_sieve(m: int) -> list[int]:
     return mu
 
 
-# phi_interval tabulates residues only for h up to this, so the cached tables
-# hold at most 128 * 1025 counts; for larger h it counts gcds directly.
-_PREFIX_MAX_H = 1024
-
-
-@lru_cache(maxsize=128)
-def _coprime_prefix(h: int) -> tuple[int, ...]:
-    """P[r] = how many j in [1, r] are coprime to h, for 0 <= r <= h, by gcd."""
-    prefix = [0]
-    for j in range(1, h + 1):
-        prefix.append(prefix[-1] + (gcd(h, j) == 1))
-    return tuple(prefix)
-
-
-def _coprime_row(prefix: tuple[int, ...], quot: list[int], rem: list[int], lo: int) -> list[int]:
-    """How many j in [x_lo + 1, x] are coprime to h, for each x after x_lo =
-    entry lo of the columns x // h and x % h, from P = _coprime_prefix(h).
-    gcd(h, j) depends on j mod h alone, so each count is
-    (x // h - x_lo // h) * P[h] + P[x % h] - P[x_lo % h]."""
-    whole, q0, p0 = prefix[-1], quot[lo], prefix[rem[lo]]
-    return [(q - q0) * whole + prefix[r] - p0 for q, r in zip(quot[lo + 1:], rem[lo + 1:])]
+def _coprime_row(flags: list[int], lo: int) -> list[int]:
+    """How many j in [lo + 1, x] are coprime to h, for each x after lo, from
+    flags[x] = 1 if gcd(h, x) == 1 else 0: a running count from lo + 1."""
+    return list(accumulate(flags[lo + 1:]))
 
 
 def phi_interval(h: int, i: int, l: int) -> int:
-    """How many j in [i, l] are coprime to h; empty intervals count 0: the
-    checks, then _coprime_row's row of one over h's cached prefix table, or
-    for h above _PREFIX_MAX_H a direct gcd count, which builds no table."""
+    """How many j in [i, l] are coprime to h; empty intervals count 0.
+    gcd(h, j) depends on j mod h alone, so the whole periods of h in [i, l]
+    each hold as many as 1..h, and the tail is counted by gcd: O(min(h,
+    l - i + 1)) gcds, with no table."""
     if h < 1:
         raise ValueError(f"phi_interval needs h >= 1, got {h}")
     if i < 1:
         raise ValueError(f"interval must start at a positive integer, got {i}")
     if l < i:
         return 0
-    if h > _PREFIX_MAX_H:
-        return sum(1 for j in range(i, l + 1) if gcd(h, j) == 1)
-    return _coprime_row(_coprime_prefix(h), [(i - 1) // h, l // h], [(i - 1) % h, l % h], 0)[0]
+    periods, tail = divmod(l - i + 1, h)
+    whole = countOf(map(gcd, repeat(h), range(1, h + 1)), 1) if periods else 0
+    return periods * whole + countOf(map(gcd, repeat(h), range(l - tail + 1, l + 1)), 1)
 
 
 @lru_cache(maxsize=1024)
@@ -176,20 +161,15 @@ def phi_interval_mobius(h: int, lower: int, upper: int) -> int:
 
 def _divisor_sum_check(h: int, span: int) -> bool:
     """Whether the divisor sum and the gcd count agree on every interval
-    [lo + 1, hi] with 0 <= lo < hi <= span.  h's columns over 0 <= x <= span
-    are built once; for each lo the two row cores count every interval, never
-    from a difference of stored totals, and the rows are compared.  Above
-    _PREFIX_MAX_H the gcd side is phi_interval's own count, which builds no
-    table for this h.  The cores are read here, at call time."""
+    [lo + 1, hi] with 0 <= lo < hi <= span.  h's columns x // d and its
+    coprime flags over 0 <= x <= span are listed once; for each lo the two
+    row cores count every interval, never from a difference of stored
+    totals, and the rows are compared.  The cores are read here, at call time."""
     divisors, xs = _squarefree_divisors(h), range(span + 1)
     columns = [list(map(d.__rfloordiv__, xs)) for d, _ in divisors]  # x // d
-    if h <= _PREFIX_MAX_H:
-        prefix = _coprime_prefix(h)
-        quot, rem = list(map(h.__rfloordiv__, xs)), list(map(h.__rmod__, xs))
-    return all(_divisor_row(divisors, columns, lo) == (
-        _coprime_row(prefix, quot, rem, lo) if h <= _PREFIX_MAX_H
-        else list(map(phi_interval, repeat(h), repeat(lo + 1), xs[lo + 1:])))
-        for lo in range(span))
+    flags = [int(gcd(h, x) == 1) for x in xs]
+    return all(_divisor_row(divisors, columns, lo) == _coprime_row(flags, lo)
+               for lo in range(span))
 
 
 def _mertens(n: int) -> dict[int, int]:

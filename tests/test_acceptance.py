@@ -11,7 +11,7 @@ from math import comb
 
 import pytest
 
-from conftest import BOOLEAN_12_6, FAREY_6
+from conftest import BOOLEAN_12_6, FAREY_6, child_env
 from fareylattice.catalog import catalog, quarter_indices, verify_catalog, verify_map
 from fareylattice.identities import (
     farey_boolean_size,
@@ -58,7 +58,7 @@ def boolean_seqs():
 def _run_cli(*argv: str) -> str:
     proc = subprocess.run(
         [sys.executable, "-m", "fareylattice.cli", *argv],
-        capture_output=True, text=True, check=True,
+        capture_output=True, text=True, check=True, env=child_env(),
     )
     return proc.stdout
 

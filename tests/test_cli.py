@@ -9,6 +9,7 @@ import sys
 import threading
 import traceback
 import warnings
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -39,6 +40,7 @@ from fareylattice.sequences import (
     left_half,
     materialize,
 )
+from conftest import child_env
 from oracles import brute_boolean, brute_farey, brute_upper, emit_json
 
 
@@ -58,14 +60,15 @@ def audit_divisor_sum(monkeypatch, mutate=lambda monkeypatch: None):
 
     A check that skipped or merged intervals would still print PASS, so record what
     each side computes: for every h, every 0 <= lo < hi <= 2 * max_m once, on each side,
-    from h's own cached tables.  mutate(monkeypatch) may wrap the spied cores.
+    from h's own cached divisors and h's own coprime flags.  mutate(monkeypatch) may wrap
+    the spied cores.
     """
     sums, counts = [], []
     divisor_row, coprime_row = ident._divisor_row, ident._coprime_row
     monkeypatch.setattr(ident, "_divisor_row", lambda divisors, columns, lo:
                         sums.append((divisors, columns, lo)) or divisor_row(divisors, columns, lo))
-    monkeypatch.setattr(ident, "_coprime_row", lambda prefix, quot, rem, lo: counts.append(
-        (prefix, quot, rem, lo)) or coprime_row(prefix, quot, rem, lo))
+    monkeypatch.setattr(ident, "_coprime_row", lambda flags, lo:
+                        counts.append((flags, lo)) or coprime_row(flags, lo))
     mutate(monkeypatch)
     # every 0 <= lo < hi <= 2 * max_m: C(15, 2) of them
     want = [(lo, hi) for lo in range(14) for hi in range(lo + 1, 15)]
@@ -74,17 +77,16 @@ def audit_divisor_sum(monkeypatch, mutate=lambda monkeypatch: None):
     for label, ok, _ in sweep_in_process(cli._sweep_identities(2, 7)):
         if label.startswith("totient divisor-sum h="):
             h = int(label.rpartition("=")[2])
-            divisors, prefix = ident._squarefree_divisors(h), ident._coprime_prefix(h)
+            divisors = ident._squarefree_divisors(h)
             assert ok, label
             summed, counted = [], []
             for d, columns, lo in sums:
                 xs = columns[0]  # the column of d = 1 lists x itself
                 assert d is divisors and columns == [[x // e for x in xs] for e, _ in d], label
                 summed += [(xs[lo], hi) for hi in xs[lo + 1:]]
-            for p, quot, rem, lo in counts:
-                xs = [q * h + r for q, r in zip(quot, rem, strict=True)]
-                assert p is prefix and all(0 <= r < h for r in rem), label
-                counted += [(xs[lo], hi) for hi in xs[lo + 1:]]
+            for flags, lo in counts:
+                assert flags == [int(gcd(h, x) == 1) for x in range(len(flags))], label
+                counted += [(lo, hi) for hi in range(lo + 1, len(flags))]
             assert sorted(summed) == want and sorted(counted) == want, label
             checked.append(h)
         sums.clear()
@@ -104,11 +106,11 @@ def _both(*mutations):
     return mutate
 
 
-# a row of two his or more drops its last; phi_interval's rows of one hi are kept
+# a divisor row of two his or more drops its last, so phi_interval_mobius's rows of one are
+# kept; every gcd row drops its last
 _DROP_DIVISOR_HI = _wrap("_divisor_row", lambda core: lambda divisors, columns, lo: core(
     divisors, [col[:-1] for col in columns] if len(columns[0]) > lo + 2 else columns, lo))
-_DROP_COPRIME_HI = _wrap("_coprime_row", lambda core: lambda prefix, quot, rem, lo: core(
-    prefix, *((quot[:-1], rem[:-1]) if len(quot) > lo + 2 else (quot, rem)), lo))
+_DROP_COPRIME_HI = _wrap("_coprime_row", lambda core: lambda flags, lo: core(flags[:-1], lo))
 # what a check that skipped an interval, a lo or an h would compute
 _DIVISOR_SUM_MUTANTS = {
     "hi from the divisor row": _DROP_DIVISOR_HI,
@@ -117,8 +119,7 @@ _DIVISOR_SUM_MUTANTS = {
     "lo = 0 on both sides": _both(
         _wrap("_divisor_row", lambda core: lambda divisors, columns, lo:
               [] if columns[0][lo] == 0 else core(divisors, columns, lo)),
-        _wrap("_coprime_row", lambda core: lambda prefix, quot, rem, lo:
-              [] if quot[lo] == rem[lo] == 0 else core(prefix, quot, rem, lo))),
+        _wrap("_coprime_row", lambda core: lambda flags, lo: [] if lo == 0 else core(flags, lo))),
     "h = 3": _wrap("_divisor_sum_check", lambda check: lambda h, span:
                    h == 3 or check(h, span)),
 }
@@ -551,15 +552,6 @@ class TestVerify:
         with pytest.raises(AssertionError):
             audit_divisor_sum(monkeypatch, _DIVISOR_SUM_MUTANTS[mutant])
 
-    def test_divisor_sum_past_the_prefix_bound_counts_by_gcd(self, monkeypatch):
-        # above _PREFIX_MAX_H the gcd side is phi_interval's own count, and no prefix table is built
-        monkeypatch.setattr(ident, "_PREFIX_MAX_H", 3)
-        ident._coprime_prefix.cache_clear()
-        checks = [(label, ok) for label, ok, _ in sweep_in_process(cli._sweep_identities(2, 7))
-                  if "divisor-sum" in label]
-        assert checks == [(f"totient divisor-sum h={h}", True) for h in range(1, 8)]
-        assert ident._coprime_prefix.cache_info().currsize == 3
-
     def test_off_by_one_divisor_sum_fails_sweep(self, capsys, monkeypatch):
         # each hi's sum stops before the divisor d = hi, so every h fails at (lo, hi) = (0, 1)
         def early_break(divisors, columns, lo):
@@ -967,14 +959,11 @@ def head_closes_the_pipe(argv, head_args, want):
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = ("import os, sys\nos.sched_getaffinity = lambda pid: {0, 1}\n"
             "from fareylattice.cli import main\nsys.exit(main())")
     cli_proc = subprocess.Popen(
         [sys.executable, "-c", code, *argv], stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE, env=env, start_new_session=True, preexec_fn=cap)
+        stderr=subprocess.PIPE, env=child_env(), start_new_session=True, preexec_fn=cap)
     head = subprocess.Popen(["head", *head_args], stdin=cli_proc.stdout, stdout=subprocess.PIPE)
     cli_proc.stdout.close()
     try:
@@ -1236,11 +1225,8 @@ class TestBrokenPipe:
     def test_huge_order_builds_no_table(self, fmt):
         # in a child capped at 512 MiB of address space, so that a writer that
         # sized anything by n fails there instead of exhausting the host's memory
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         argv = ["gen", "--family", "farey", "--n", str(10**9), "--format", fmt]
-        proc = subprocess.run([sys.executable, "-c", HUGE_ORDER_CHILD, *argv], env=env,
+        proc = subprocess.run([sys.executable, "-c", HUGE_ORDER_CHILD, *argv], env=child_env(),
                               capture_output=True, text=True, timeout=120)
         assert proc.stderr == ""
         rc, writes, peak, seconds = proc.stdout.split()
@@ -1253,12 +1239,10 @@ class TestImportGraph:
     @staticmethod
     def loaded(code, names):
         """Which of names a fresh interpreter has imported once it has run code."""
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
         probe = f"import sys\n{code}\nprint(*(m for m in {names!r} if m in sys.modules))"
-        return set(subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                                  text=True, check=True, timeout=60).stdout.split())
+        return set(subprocess.run([sys.executable, "-c", probe], env=child_env(),
+                                  capture_output=True, text=True, check=True,
+                                  timeout=60).stdout.split())
 
     def test_cli_startup_needs_no_dataclasses_inspect_or_json(self):
         # a bare interpreter started the same way sets the baseline

@@ -44,6 +44,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import child_env
 from fareylattice.cli import main
 
 HERE = Path(__file__).parent
@@ -157,11 +158,8 @@ def replay(pin: dict, timeout: float = PIN_TIMEOUT_S) -> tuple[int, str, str]:
             resource.setrlimit(resource.RLIMIT_AS, (cap * 2**20, cap * 2**20))
 
     deadline = time.monotonic() + timeout
-    src = str(HERE.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
     with subprocess.Popen([sys.executable, "-m", "fareylattice.cli", *pin["argv"]],
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
                           preexec_fn=limit_address_space, start_new_session=True) as proc:
         try:
             head = b""

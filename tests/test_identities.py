@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from fareylattice import identities
 from fareylattice.identities import (
-    _PREFIX_MAX_H,
     _floor_sum,
     _mertens,
     _mobius_sieve,
@@ -107,20 +106,24 @@ class TestPhiInterval:
             for lo, hi in intervals:
                 assert phi_interval_mobius(h, lo, hi) == brute_divisor_sum(h, lo, hi), (h, lo, hi)
 
-    @given(st.integers(1, _PREFIX_MAX_H), st.integers(0, 3000), st.integers(1, 3000))
+    @given(st.integers(1, 10 ** 6), st.integers(0, 3000), st.integers(1, 3000))
     @example(1, 0, 1)
-    @example(_PREFIX_MAX_H, _PREFIX_MAX_H - 1, 2 * _PREFIX_MAX_H + 1)
+    @example(2 * 3 * 5 * 7 * 11 * 13, 2999, 3000)
     @settings(max_examples=300)
     def test_cores_match_oracles(self, h, lower, span):
-        # the private row cores, read from h's cached tables and its columns at lo and at a row
-        # of his ending at upper, against the brute oracles
+        # the private row cores, read from h's cached divisors and its columns at lo and at a row
+        # of his ending at upper, and from h's coprime flags up to upper, against the brute
+        # oracles; the gcd row is the brute count's running form by construction, so the
+        # independent check of it is verify's, gcd against divisor sum
         upper = lower + span
         xs = [lower, *sorted({lower + 1, lower + (span + 1) // 2, upper})]
-        divisors, prefix = identities._squarefree_divisors(h), identities._coprime_prefix(h)
+        divisors = identities._squarefree_divisors(h)
         columns = [[x // d for x in xs] for d, _ in divisors]
         assert identities._divisor_row(divisors, columns, 0) == \
             [brute_divisor_sum(h, lower, hi) for hi in xs[1:]]
-        assert identities._coprime_row(prefix, [x // h for x in xs], [x % h for x in xs], 0) == \
+        row = identities._coprime_row([int(gcd(h, x) == 1) for x in range(upper + 1)], lower)
+        assert len(row) == span
+        assert [row[hi - lower - 1] for hi in xs[1:]] == \
             [brute_coprime_count(h, lower + 1, hi) for hi in xs[1:]]
 
     def test_divisor_cache_is_bounded(self):
@@ -134,15 +137,35 @@ class TestPhiInterval:
             for l in range(0, 171):
                 assert phi_interval(h, i, l) == max(0, count[l] - count[i - 1]), (h, i, l)
 
-    @pytest.mark.parametrize("h", [_PREFIX_MAX_H, _PREFIX_MAX_H + 1, 2 * 3 * 5 * 7 * 11])
-    def test_large_h_matches_oracle(self, h):
-        for i, l in [(1, 5), (1, 2 * h + 3), (h - 2, h + 9), (3 * h + 1, 3 * h), (7, 1500)]:
-            assert phi_interval(h, i, l) == brute_coprime_count(h, i, l)
+    # (h, length): h up to 10^12 over fewer integers than h, or h up to 2000 over up to
+    # 10^5, which spans many whole periods of h
+    _H_AND_LENGTH = st.one_of(
+        st.tuples(st.integers(1, 10 ** 12), st.integers(0, 3000))
+        .map(lambda t: (t[0], t[1] % t[0])),
+        st.tuples(st.integers(1, 2000), st.integers(0, 10 ** 5)))
+
+    @given(_H_AND_LENGTH, st.integers(1, 10 ** 12))
+    @example((1, 5), 1)
+    @example((2 * 3 * 5 * 7 * 11, 2 * 2310 + 3), 1)
+    @example((10 ** 12, 10 ** 4), 5)
+    @settings(max_examples=300)
+    def test_matches_oracle_for_every_h(self, h_and_length, i):
+        # below one period, phi_interval is the brute count by construction; the independent
+        # check of it is verify's, gcd against divisor sum
+        h, length = h_and_length
+        got = phi_interval(h, i, i + length - 1)
+        assert type(got) is int and got == brute_coprime_count(h, i, i + length - 1)
 
     @given(st.integers(1, 200), st.integers(1, 150), st.integers(0, 80))
     @settings(max_examples=200)
     def test_against_oracle(self, h, i, span):
         assert phi_interval(h, i, i + span) == brute_coprime_count(h, i, i + span)
+
+    @pytest.mark.parametrize("h", [1025, 2 * 3 * 5 * 7 * 11 * 13, 999983, 10 ** 12])
+    def test_divisor_sum_check_past_verify_range(self, h):
+        # verify's h stops at --max-m, but the gcd and divisor-sum rows take one path for every
+        # h: a prime, a primorial with 64 squarefree divisors, and h far above the span
+        assert identities._divisor_sum_check(h, 60)
 
     @pytest.mark.parametrize("m", range(2, 31))
     def test_shifted_window_same_count(self, m):
